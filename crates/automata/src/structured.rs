@@ -28,7 +28,7 @@
 use crate::automaton::TreeAutomaton;
 use crate::tree::{NodeAnnotation, UncertainTree};
 use std::collections::BTreeMap;
-use treelineage_circuit::{Circuit, Dnnf, GateId, Vtree, VtreeId};
+use treelineage_circuit::{Circuit, Dnnf, GateId, ScaledWeights, Vtree, VtreeId};
 use treelineage_num::{BigUint, Rational};
 
 /// Errors reported by the structured compiler.
@@ -109,25 +109,33 @@ impl StructuredDnnf {
     }
 
     /// Acceptance probability under independent event probabilities; one
-    /// bottom-up pass, linear in the circuit size.
+    /// bottom-up scaled-integer pass ([`Dnnf::scaled_wmc`]), linear in the
+    /// circuit size. The universe is the output's scope: every non-false
+    /// gate mentions exactly its subtree's events, and the output's subtree
+    /// is the whole tree.
     pub fn probability(&self, prob: &dyn Fn(usize) -> Rational) -> Rational {
-        self.dnnf.probability(prob)
+        self.dnnf
+            .scaled_wmc(&ScaledWeights::probability(&self.universe, prob))
     }
 
     /// Weighted model count with general per-literal weights (the circuit is
-    /// smooth, so no padding pass is needed); linear in the circuit size.
+    /// smooth, so no padding pass is needed); one scaled-integer pass,
+    /// linear in the circuit size.
     pub fn wmc(
         &self,
         pos: &dyn Fn(usize) -> Rational,
         neg: &dyn Fn(usize) -> Rational,
     ) -> Rational {
-        self.dnnf.wmc(pos, neg)
+        self.dnnf
+            .scaled_wmc(&ScaledWeights::wmc(&self.universe, pos, neg))
     }
 
-    /// Number of event valuations under which the automaton accepts: a
-    /// single integer pass thanks to smoothness-by-construction.
+    /// Number of event valuations under which the automaton accepts: the
+    /// same integer pass under unit weights, thanks to
+    /// smoothness-by-construction.
     pub fn model_count(&self) -> BigUint {
-        self.dnnf.count_models_smooth()
+        let count = self.dnnf.scaled_wmc(&ScaledWeights::unit(&self.universe));
+        count.numerator().magnitude().clone()
     }
 }
 

@@ -6,14 +6,14 @@
 //! from one warm `EvalSession` in a batch of 16. Two serving tiers bracket
 //! the sensitivity:
 //!
-//! * `exact_batch_{noop,instrumented}` — `batch_probability`: the exact
-//!   big-rational pass dominates (~tens of ms per request), so even a
-//!   sloppy telemetry layer would vanish here. This row pins the headline
+//! * `exact_batch_{noop,instrumented}` — `batch_probability`: one exact
+//!   scaled-integer pass per request (when `BENCH_pr7.json` was recorded,
+//!   a big-rational pass of tens of ms). This row pins the headline
 //!   "≤ 5% instrumented" acceptance on the shape earlier PRs recorded.
 //! * `float_batch_{noop,instrumented}` — `batch_probability_f64` on a
-//!   FloatFirst session: ~1000× cheaper per request, so per-request
-//!   telemetry work (two map updates, one clock pair) is maximally
-//!   visible. This is the adversarial row for the no-op claim.
+//!   FloatFirst session: a sub-millisecond pass per request, so
+//!   per-request telemetry work (two map updates, one clock pair) is
+//!   maximally visible. This is the adversarial row for the no-op claim.
 //! * `cold_compile_{noop,instrumented}` — a cold `LineageBuilder`
 //!   compile per iteration: the stage-span path (encode → query machine →
 //!   d-SDNNF), where spans fire once per stage rather than per request.

@@ -9,8 +9,9 @@
 //! bounded-treewidth instances have linear-size d-DNNFs.
 
 use crate::circuit::{Circuit, Gate, GateDeps, GateId, VarId};
+use crate::scaled::ScaledWeights;
 use std::collections::{BTreeMap, BTreeSet};
-use treelineage_num::{BigUint, ErrorInterval, Rational};
+use treelineage_num::{BigInt, BigUint, ErrorInterval, Rational};
 
 /// A circuit together with the verified d-DNNF structural guarantees.
 ///
@@ -188,17 +189,26 @@ impl Dnnf {
 
     /// Returns `true` if the d-DNNF is *smooth*: the children of every OR
     /// gate depend on exactly the same variables. Smoothness is what makes
-    /// the single integer pass of [`Dnnf::count_models_smooth`] and the
-    /// general-weight pass of [`Dnnf::wmc`] correct (without it, an OR child
-    /// that "forgets" a variable under-counts its models).
+    /// the single integer pass of [`Dnnf::scaled_wmc`] (behind
+    /// [`Dnnf::count_models_smooth`] and [`Dnnf::wmc`]) correct: without it,
+    /// an OR child that "forgets" a variable under-counts its models.
     pub fn is_smooth(&self) -> bool {
+        self.smooth_scope().is_some()
+    }
+
+    /// The output's scope (the variables it depends on) if the d-DNNF is
+    /// smooth, `None` otherwise — one dependency-bitset computation serves
+    /// both the check and the scope of the integer pass.
+    fn smooth_scope(&self) -> Option<Vec<VarId>> {
         let deps = self.circuit.dependency_bitsets();
-        self.circuit
+        let smooth = self
+            .circuit
             .gate_ids()
             .all(|id| match self.circuit.gate(id) {
                 Gate::Or(inputs) => inputs.windows(2).all(|w| deps.row(w[0]) == deps.row(w[1])),
                 _ => true,
-            })
+            });
+        smooth.then(|| deps.vars_of(deps.row(self.circuit.output())).collect())
     }
 
     /// The *smoothing pass*: returns an equivalent d-DNNF over `universe`
@@ -293,59 +303,22 @@ impl Dnnf {
         Dnnf::from_trusted_circuit(out).expect("smoothing preserves the d-DNNF conditions")
     }
 
-    /// Model count of a *smooth* d-DNNF whose output mentions its whole
-    /// universe (as produced by [`Dnnf::smooth`]): a single bottom-up integer
-    /// pass — Var and negated Var count one model, OR children add (they are
-    /// mutually exclusive over a common scope), AND children multiply (they
-    /// are independent). Linear in the circuit size, no rational arithmetic.
+    /// Model count of a *smooth* d-DNNF over the variables its output
+    /// mentions (as produced by [`Dnnf::smooth`], that is its whole
+    /// universe): the integer pass of [`Dnnf::scaled_wmc`] under unit
+    /// weights — Var and negated Var count one model, OR children add (they
+    /// are mutually exclusive over a common scope), AND children multiply
+    /// (they are independent). Linear in the circuit size, no rational
+    /// arithmetic.
     pub fn count_models_smooth(&self) -> BigUint {
         // A full assert, not a debug_assert: on a non-smooth circuit the
         // pass silently under-counts, and the bitset-based check is cheap
-        // next to the bignum arithmetic below.
-        assert!(
-            self.is_smooth(),
-            "count_models_smooth needs a smooth d-DNNF"
-        );
-        let mut values: Vec<BigUint> = Vec::with_capacity(self.circuit.size());
-        for id in self.circuit.gate_ids() {
-            let count = match self.circuit.gate(id) {
-                Gate::Var(_) => BigUint::one(),
-                Gate::Const(b) => {
-                    if *b {
-                        BigUint::one()
-                    } else {
-                        BigUint::zero()
-                    }
-                }
-                Gate::Not(i) => match self.circuit.gate(*i) {
-                    Gate::Var(_) => BigUint::one(),
-                    Gate::Const(b) => {
-                        if *b {
-                            BigUint::zero()
-                        } else {
-                            BigUint::one()
-                        }
-                    }
-                    _ => unreachable!("negations on inputs only"),
-                },
-                Gate::And(inputs) => {
-                    let mut acc = BigUint::one();
-                    for &i in inputs {
-                        acc = &acc * &values[i.0];
-                    }
-                    acc
-                }
-                Gate::Or(inputs) => {
-                    let mut acc = BigUint::zero();
-                    for &i in inputs {
-                        acc = &acc + &values[i.0];
-                    }
-                    acc
-                }
-            };
-            values.push(count);
-        }
-        values[self.circuit.output().0].clone()
+        // next to the bignum arithmetic.
+        let scope = self
+            .smooth_scope()
+            .expect("count_models_smooth needs a smooth d-DNNF");
+        let count = self.scaled_wmc(&ScaledWeights::unit(&scope));
+        count.numerator().magnitude().clone()
     }
 
     /// One-pass *weighted* model count with independent per-literal weights:
@@ -354,55 +327,55 @@ impl Dnnf {
     /// sum to one per variable, so the d-DNNF must be smooth (smooth it over
     /// the intended universe first — a variable absent from a model's scope
     /// would silently contribute factor 1 instead of `pos(v) + neg(v)`).
+    /// Runs as the scaled-integer pass of [`Dnnf::scaled_wmc`].
     pub fn wmc(
         &self,
         pos: &dyn Fn(VarId) -> Rational,
         neg: &dyn Fn(VarId) -> Rational,
     ) -> Rational {
-        // Full assert for the same reason as `count_models_smooth`: a
-        // missing variable silently contributes factor 1 instead of
-        // `pos(v) + neg(v)`.
-        assert!(self.is_smooth(), "wmc needs a smooth d-DNNF");
-        let mut values: Vec<Rational> = Vec::with_capacity(self.circuit.size());
+        // Full assert for the same reason as `count_models_smooth`.
+        let scope = self.smooth_scope().expect("wmc needs a smooth d-DNNF");
+        self.scaled_wmc(&ScaledWeights::wmc(&scope, pos, neg))
+    }
+
+    /// The exact evaluation pass of smooth d-DNNFs: one bottom-up sweep over
+    /// signed integers under `weights` (AND multiplies, OR adds), then one
+    /// division of the output by the weights' scale (see
+    /// [`ScaledWeights`]). Nothing is reduced per gate.
+    ///
+    /// The caller attests that the d-DNNF is smooth and that `weights`
+    /// cover exactly the output's scope; [`Dnnf::wmc`] and
+    /// [`Dnnf::count_models_smooth`] check both, while circuits smooth by
+    /// construction (the automaton d-SDNNF, the output of [`Dnnf::smooth`])
+    /// pass their known universe directly.
+    pub fn scaled_wmc(&self, weights: &ScaledWeights) -> Rational {
+        let constant = |b: bool| if b { BigInt::one() } else { BigInt::zero() };
+        let mut values: Vec<BigInt> = Vec::with_capacity(self.circuit.size());
         for id in self.circuit.gate_ids() {
             let w = match self.circuit.gate(id) {
-                Gate::Var(v) => pos(*v),
-                Gate::Const(b) => {
-                    if *b {
-                        Rational::one()
-                    } else {
-                        Rational::zero()
-                    }
-                }
+                Gate::Var(v) => weights.literal(*v, true),
+                Gate::Const(b) => constant(*b),
                 Gate::Not(i) => match self.circuit.gate(*i) {
-                    Gate::Var(v) => neg(*v),
-                    Gate::Const(b) => {
-                        if *b {
-                            Rational::zero()
-                        } else {
-                            Rational::one()
-                        }
-                    }
+                    Gate::Var(v) => weights.literal(*v, false),
+                    Gate::Const(b) => constant(!b),
                     _ => unreachable!("negations on inputs only"),
                 },
-                Gate::And(inputs) => {
-                    let mut acc = Rational::one();
-                    for &i in inputs {
-                        acc *= &values[i.0];
-                    }
-                    acc
-                }
-                Gate::Or(inputs) => {
-                    let mut acc = Rational::zero();
-                    for &i in inputs {
-                        acc += &values[i.0];
-                    }
-                    acc
-                }
+                // Start from the first input, not from one: a
+                // multiplication by one would copy it anyway, at the price
+                // of a bignum product.
+                Gate::And(inputs) => match inputs.split_first() {
+                    Some((first, rest)) => rest
+                        .iter()
+                        .fold(values[first.0].clone(), |acc, i| &acc * &values[i.0]),
+                    None => BigInt::one(),
+                },
+                Gate::Or(inputs) => inputs
+                    .iter()
+                    .fold(BigInt::zero(), |acc, i| &acc + &values[i.0]),
             };
             values.push(w);
         }
-        values[self.circuit.output().0].clone()
+        weights.unscale(values.swap_remove(self.circuit.output().0))
     }
 
     /// Float fast-path of [`Dnnf::probability`]: the same linear pass in

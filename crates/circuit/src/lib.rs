@@ -29,6 +29,7 @@ mod dnnf;
 mod formula;
 mod obdd;
 mod probability;
+mod scaled;
 mod vtree;
 
 pub use circuit::{Circuit, Gate, GateId, VarId};
@@ -39,6 +40,7 @@ pub use formula::{
 };
 pub use obdd::{Obdd, Ref};
 pub use probability::{probability_bruteforce, probability_message_passing, MessagePassingError};
+pub use scaled::ScaledWeights;
 pub use vtree::{Vtree, VtreeId, VtreeNode};
 
 #[cfg(test)]

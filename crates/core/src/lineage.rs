@@ -29,7 +29,7 @@
 //! experiments exercise exactly the objects the paper reasons about.
 
 use std::collections::{BTreeMap, BTreeSet};
-use treelineage_circuit::{Circuit, Dnnf, GateId, Obdd, Ref, VarId, Vtree};
+use treelineage_circuit::{Circuit, Dnnf, GateId, Obdd, Ref, ScaledWeights, VarId, Vtree};
 use treelineage_engine::{validate_insert, validate_retract, EngineConfig, UpdateError};
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Fact, FactId, Instance};
@@ -77,10 +77,11 @@ pub enum LineageBackend {
 /// artifact behind [`LineageBackend::StructuredDnnf`].
 ///
 /// Two variants of the circuit are kept: the raw export (structured by
-/// [`StructuredLineage::vtree`], used for probability evaluation) and its
-/// smoothed form over the full fact universe (used for one-pass model
-/// counting and general-weight WMC, where skipped variables must be
-/// materialized). Every evaluation is a single bottom-up pass.
+/// [`StructuredLineage::vtree`]) and its smoothed form over the full fact
+/// universe. Every exact evaluation is one scaled-integer pass over the
+/// smoothed circuit ([`Dnnf::scaled_wmc`]), whose output scope is the
+/// universe by construction; the raw circuit serves the float
+/// probability pass.
 #[derive(Clone, Debug)]
 pub struct StructuredLineage {
     dnnf: Dnnf,
@@ -122,20 +123,22 @@ impl StructuredLineage {
         self.smoothed.size()
     }
 
-    /// Query probability under independent per-fact probabilities: one pass
-    /// over the raw circuit (probability weights need no smoothing).
+    /// Query probability under independent per-fact probabilities: one
+    /// scaled-integer pass over the smoothed circuit.
     pub fn probability(&self, prob: &dyn Fn(VarId) -> Rational) -> Rational {
-        self.dnnf.probability(prob)
+        self.smoothed
+            .scaled_wmc(&ScaledWeights::probability(&self.universe, prob))
     }
 
-    /// Weighted model count with general per-literal weights: one pass over
-    /// the smoothed circuit.
+    /// Weighted model count with general per-literal weights: one
+    /// scaled-integer pass over the smoothed circuit.
     pub fn wmc(
         &self,
         pos: &dyn Fn(VarId) -> Rational,
         neg: &dyn Fn(VarId) -> Rational,
     ) -> Rational {
-        self.smoothed.wmc(pos, neg)
+        self.smoothed
+            .scaled_wmc(&ScaledWeights::wmc(&self.universe, pos, neg))
     }
 
     /// Float fast-path of [`StructuredLineage::probability`]: the same pass
@@ -156,10 +159,13 @@ impl StructuredLineage {
         self.smoothed.wmc_interval(pos, neg)
     }
 
-    /// Number of satisfying subinstances over the full fact universe: one
-    /// integer pass over the smoothed circuit.
+    /// Number of satisfying subinstances over the full fact universe: the
+    /// same pass over the smoothed circuit under unit weights.
     pub fn model_count(&self) -> BigUint {
-        self.smoothed.count_models_smooth()
+        let count = self
+            .smoothed
+            .scaled_wmc(&ScaledWeights::unit(&self.universe));
+        count.numerator().magnitude().clone()
     }
 }
 

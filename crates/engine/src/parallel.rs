@@ -25,12 +25,26 @@
 //! does). `tests` and the umbrella `tests/parallel_differential.rs` pin
 //! this gate-by-gate against [`treelineage_automata::compile_structured_dnnf`].
 //!
-//! The evaluation passes ([`ParallelDnnf::probability`] /
-//! [`ParallelDnnf::wmc`] / [`ParallelDnnf::model_count`]) reuse the same
-//! partition: each fragment's gate range is self-contained, so workers
-//! evaluate ranges concurrently and the spine finishes on the caller's
-//! thread. All arithmetic is exact (`Rational` / `BigUint`), so the values
-//! are identical to the sequential pass, not merely close.
+//! The evaluation passes reuse the same partition: each fragment's gate
+//! range is self-contained, so workers evaluate ranges concurrently and the
+//! spine finishes on the caller's thread.
+//!
+//! Exact evaluation ([`ParallelDnnf::probability`] / [`ParallelDnnf::wmc`] /
+//! [`ParallelDnnf::model_count`]) is **one scaled-integer pass**. The
+//! circuit is smooth by construction — every non-false gate mentions
+//! exactly the events of its subtree — so each event's two literal weights
+//! are put on a common integer scale `L_v` once per request
+//! ([`ScaledWeights`]: `(a_v, d_v − a_v)` on scale `d_v` for a probability
+//! `a_v / d_v`, unit weights for model counting), the pass adds at OR and
+//! multiplies at AND over signed integers (`BigInt`: weighted model counts
+//! take negative weights), and the output is divided once by `∏_v L_v`.
+//! Every OR child carries the same factor `∏_{v ∈ S} L_v` of its common
+//! scope `S` and every AND multiplies its children's disjoint factors, so
+//! the output carries exactly `∏_{v ∈ universe} L_v`, and the single final
+//! reduction returns the same canonical `Rational` a gate-by-gate rational
+//! pass would — with no gcd per gate. Integer arithmetic is exact and
+//! associative, so the value is identical at every thread count, not
+//! merely close. The pass runs under one `eval_exact` telemetry span.
 
 use crate::pool::run_tasks;
 use crate::EngineConfig;
@@ -40,8 +54,10 @@ use treelineage_automata::{
     compile_structured_dnnf_traced, BinaryTree, NodeAnnotation, NodeId, State, StructuredDnnf,
     StructuredDnnfError, TreeAutomaton, UncertainTree,
 };
-use treelineage_circuit::{Circuit, Dnnf, Gate, GateId, VarId, Vtree, VtreeId, VtreeNode};
-use treelineage_num::{BigUint, ErrorInterval, Rational};
+use treelineage_circuit::{
+    Circuit, Dnnf, Gate, GateId, ScaledWeights, VarId, Vtree, VtreeId, VtreeNode,
+};
+use treelineage_num::{BigInt, BigUint, ErrorInterval, Rational};
 use treelineage_telemetry::Telemetry;
 
 /// Fragments below this size are not worth a task of their own: the replay
@@ -188,49 +204,53 @@ impl ParallelDnnf {
         self.structured.size()
     }
 
-    /// Acceptance probability under independent event probabilities;
-    /// fragment-parallel over `threads` workers.
+    /// Acceptance probability under independent event probabilities: the
+    /// scaled-integer pass (see the module docs), fragment-parallel over
+    /// `threads` workers.
     pub fn probability(
         &self,
         prob: &(dyn Fn(usize) -> Rational + Sync),
         threads: usize,
     ) -> Rational {
-        run_pass(
-            self.structured.dnnf().circuit(),
-            &self.partition,
-            threads,
-            &self.telemetry,
-            &ProbabilityPass { prob },
-        )
+        self.exact(threads, |universe| {
+            ScaledWeights::probability(universe, prob)
+        })
     }
 
-    /// Weighted model count with general per-literal weights (the circuit
-    /// is smooth by construction, so one pass suffices); fragment-parallel.
+    /// Weighted model count with general per-literal weights (any sign; the
+    /// circuit is smooth by construction, so one pass suffices):
+    /// the scaled-integer pass, fragment-parallel.
     pub fn wmc(
         &self,
         pos: &(dyn Fn(usize) -> Rational + Sync),
         neg: &(dyn Fn(usize) -> Rational + Sync),
         threads: usize,
     ) -> Rational {
-        run_pass(
-            self.structured.dnnf().circuit(),
-            &self.partition,
-            threads,
-            &self.telemetry,
-            &WmcPass { pos, neg },
-        )
+        self.exact(threads, |universe| ScaledWeights::wmc(universe, pos, neg))
     }
 
-    /// Number of accepting event valuations (one integer pass thanks to
-    /// smoothness-by-construction); fragment-parallel.
+    /// Number of accepting event valuations: the scaled-integer pass under
+    /// unit weights, fragment-parallel.
     pub fn model_count(&self, threads: usize) -> BigUint {
-        run_pass(
+        let count = self.exact(threads, ScaledWeights::unit);
+        count.numerator().magnitude().clone()
+    }
+
+    /// Converts the weights over the universe (the output's scope: every
+    /// non-false gate mentions exactly its subtree's events, and the
+    /// output's subtree is the whole tree), runs the integer pass and
+    /// divides once, all under one `eval_exact` span.
+    fn exact(&self, threads: usize, weights: impl FnOnce(&[usize]) -> ScaledWeights) -> Rational {
+        let _span = self.telemetry.span("eval_exact");
+        let weights = weights(self.structured.universe());
+        let total = run_pass(
             self.structured.dnnf().circuit(),
             &self.partition,
             threads,
             &self.telemetry,
-            &CountPass,
-        )
+            &ScaledPass { weights: &weights },
+        );
+        weights.unscale(total)
     }
 
     /// The float fast-path of [`ParallelDnnf::probability`]: the same
@@ -898,89 +918,72 @@ pub fn parallel_reachable_states(
 
 /// One bottom-up evaluation semantics over d-SDNNF gates; implementors
 /// mirror the corresponding `Dnnf` pass exactly (same per-gate operations,
-/// and exact arithmetic makes grouping irrelevant), so the parallel result
-/// equals the sequential one.
+/// and per-gate determinism makes the thread count irrelevant), so the
+/// parallel result equals the sequential one.
 trait GatePass: Sync {
     type Value: Clone + Send;
     fn constant(&self, value: bool) -> Self::Value;
     fn var(&self, v: VarId) -> Self::Value;
     /// Value of `Not(inner)` given the inner gate and its value.
     fn not(&self, circuit: &Circuit, inner: GateId, inner_value: &Self::Value) -> Self::Value;
-    fn one(&self) -> Self::Value;
-    fn zero(&self) -> Self::Value;
-    fn mul_assign(&self, acc: &mut Self::Value, x: &Self::Value);
-    fn add_assign(&self, acc: &mut Self::Value, x: &Self::Value);
+    /// Value of an AND gate from its inputs' values, in operand order.
+    fn and<'v>(&self, inputs: impl Iterator<Item = &'v Self::Value>) -> Self::Value
+    where
+        Self::Value: 'v;
+    /// Value of an OR gate from its inputs' values, in operand order.
+    fn or<'v>(&self, inputs: impl Iterator<Item = &'v Self::Value>) -> Self::Value
+    where
+        Self::Value: 'v;
 }
 
-struct ProbabilityPass<'a> {
-    prob: &'a (dyn Fn(VarId) -> Rational + Sync),
+/// The exact pass: signed integers on the per-variable scale of
+/// `weights`. Nothing is reduced per gate; the caller divides the output
+/// once by the weights' scale.
+struct ScaledPass<'a> {
+    weights: &'a ScaledWeights,
 }
 
-impl GatePass for ProbabilityPass<'_> {
-    type Value = Rational;
-    fn constant(&self, value: bool) -> Rational {
+impl GatePass for ScaledPass<'_> {
+    type Value = BigInt;
+    fn constant(&self, value: bool) -> BigInt {
         if value {
-            Rational::one()
+            BigInt::one()
         } else {
-            Rational::zero()
+            BigInt::zero()
         }
     }
-    fn var(&self, v: VarId) -> Rational {
-        (self.prob)(v)
+    fn var(&self, v: VarId) -> BigInt {
+        self.weights.literal(v, true)
     }
-    fn not(&self, _circuit: &Circuit, _inner: GateId, inner_value: &Rational) -> Rational {
-        inner_value.complement()
-    }
-    fn one(&self) -> Rational {
-        Rational::one()
-    }
-    fn zero(&self) -> Rational {
-        Rational::zero()
-    }
-    fn mul_assign(&self, acc: &mut Rational, x: &Rational) {
-        *acc *= x;
-    }
-    fn add_assign(&self, acc: &mut Rational, x: &Rational) {
-        *acc += x;
-    }
-}
-
-struct WmcPass<'a> {
-    pos: &'a (dyn Fn(VarId) -> Rational + Sync),
-    neg: &'a (dyn Fn(VarId) -> Rational + Sync),
-}
-
-impl GatePass for WmcPass<'_> {
-    type Value = Rational;
-    fn constant(&self, value: bool) -> Rational {
-        if value {
-            Rational::one()
-        } else {
-            Rational::zero()
-        }
-    }
-    fn var(&self, v: VarId) -> Rational {
-        (self.pos)(v)
-    }
-    fn not(&self, circuit: &Circuit, inner: GateId, _inner_value: &Rational) -> Rational {
+    fn not(&self, circuit: &Circuit, inner: GateId, _inner_value: &BigInt) -> BigInt {
         match circuit.gate(inner) {
-            Gate::Var(v) => (self.neg)(*v),
+            Gate::Var(v) => self.weights.literal(*v, false),
             Gate::Const(b) => self.constant(!b),
             _ => unreachable!("d-SDNNFs negate inputs only"),
         }
     }
-    fn one(&self) -> Rational {
-        Rational::one()
+    fn and<'v>(&self, mut inputs: impl Iterator<Item = &'v BigInt>) -> BigInt {
+        // Start from the first input, not from one: a multiplication by one
+        // would copy it anyway, at the price of a bignum product.
+        match inputs.next() {
+            Some(first) => inputs.fold(first.clone(), |acc, x| &acc * x),
+            None => BigInt::one(),
+        }
     }
-    fn zero(&self) -> Rational {
-        Rational::zero()
+    fn or<'v>(&self, inputs: impl Iterator<Item = &'v BigInt>) -> BigInt {
+        inputs.fold(BigInt::zero(), |acc, x| &acc + x)
     }
-    fn mul_assign(&self, acc: &mut Rational, x: &Rational) {
-        *acc *= x;
-    }
-    fn add_assign(&self, acc: &mut Rational, x: &Rational) {
-        *acc += x;
-    }
+}
+
+/// The interval passes' AND: the outward-rounded product folded from `1`
+/// in operand order, exactly as `Dnnf::probability_interval` folds it.
+fn interval_product<'v>(inputs: impl Iterator<Item = &'v ErrorInterval>) -> ErrorInterval {
+    inputs.fold(ErrorInterval::one(), |acc, x| acc.mul(x))
+}
+
+/// The interval passes' OR: the outward-rounded sum folded from `0`.
+fn interval_sum<'v>(inputs: impl Iterator<Item = &'v ErrorInterval>) -> ErrorInterval {
+    inputs.fold(ErrorInterval::zero(), |acc, x| acc.add(x))
 }
 
 struct IntervalProbabilityPass<'a> {
@@ -1007,17 +1010,11 @@ impl GatePass for IntervalProbabilityPass<'_> {
     ) -> ErrorInterval {
         inner_value.complement()
     }
-    fn one(&self) -> ErrorInterval {
-        ErrorInterval::one()
+    fn and<'v>(&self, inputs: impl Iterator<Item = &'v ErrorInterval>) -> ErrorInterval {
+        interval_product(inputs)
     }
-    fn zero(&self) -> ErrorInterval {
-        ErrorInterval::zero()
-    }
-    fn mul_assign(&self, acc: &mut ErrorInterval, x: &ErrorInterval) {
-        *acc = acc.mul(x);
-    }
-    fn add_assign(&self, acc: &mut ErrorInterval, x: &ErrorInterval) {
-        *acc = acc.add(x);
+    fn or<'v>(&self, inputs: impl Iterator<Item = &'v ErrorInterval>) -> ErrorInterval {
+        interval_sum(inputs)
     }
 }
 
@@ -1045,52 +1042,11 @@ impl GatePass for IntervalWmcPass<'_> {
             _ => unreachable!("d-SDNNFs negate inputs only"),
         }
     }
-    fn one(&self) -> ErrorInterval {
-        ErrorInterval::one()
+    fn and<'v>(&self, inputs: impl Iterator<Item = &'v ErrorInterval>) -> ErrorInterval {
+        interval_product(inputs)
     }
-    fn zero(&self) -> ErrorInterval {
-        ErrorInterval::zero()
-    }
-    fn mul_assign(&self, acc: &mut ErrorInterval, x: &ErrorInterval) {
-        *acc = acc.mul(x);
-    }
-    fn add_assign(&self, acc: &mut ErrorInterval, x: &ErrorInterval) {
-        *acc = acc.add(x);
-    }
-}
-
-struct CountPass;
-
-impl GatePass for CountPass {
-    type Value = BigUint;
-    fn constant(&self, value: bool) -> BigUint {
-        if value {
-            BigUint::one()
-        } else {
-            BigUint::zero()
-        }
-    }
-    fn var(&self, _v: VarId) -> BigUint {
-        BigUint::one()
-    }
-    fn not(&self, circuit: &Circuit, inner: GateId, _inner_value: &BigUint) -> BigUint {
-        match circuit.gate(inner) {
-            Gate::Var(_) => BigUint::one(),
-            Gate::Const(b) => self.constant(!b),
-            _ => unreachable!("d-SDNNFs negate inputs only"),
-        }
-    }
-    fn one(&self) -> BigUint {
-        BigUint::one()
-    }
-    fn zero(&self) -> BigUint {
-        BigUint::zero()
-    }
-    fn mul_assign(&self, acc: &mut BigUint, x: &BigUint) {
-        *acc = &*acc * x;
-    }
-    fn add_assign(&self, acc: &mut BigUint, x: &BigUint) {
-        *acc = &*acc + x;
+    fn or<'v>(&self, inputs: impl Iterator<Item = &'v ErrorInterval>) -> ErrorInterval {
+        interval_sum(inputs)
     }
 }
 
@@ -1131,20 +1087,8 @@ fn run_pass<P: GatePass>(
                     Gate::Var(v) => pass.var(*v),
                     Gate::Const(b) => pass.constant(*b),
                     Gate::Not(i) => pass.not(circuit, *i, get(*i)),
-                    Gate::And(inputs) => {
-                        let mut acc = pass.one();
-                        for &i in inputs {
-                            pass.mul_assign(&mut acc, get(i));
-                        }
-                        acc
-                    }
-                    Gate::Or(inputs) => {
-                        let mut acc = pass.zero();
-                        for &i in inputs {
-                            pass.add_assign(&mut acc, get(i));
-                        }
-                        acc
-                    }
+                    Gate::And(inputs) => pass.and(inputs.iter().map(|&i| get(i))),
+                    Gate::Or(inputs) => pass.or(inputs.iter().map(|&i| get(i))),
                 };
                 buf.push(value);
             }
@@ -1161,27 +1105,13 @@ fn run_pass<P: GatePass>(
         if values[id].is_some() {
             continue;
         }
+        let input = |i: GateId| values[i.0].as_ref().expect("ids are topological");
         let value = match circuit.gate(GateId(id)) {
             Gate::Var(v) => pass.var(*v),
             Gate::Const(b) => pass.constant(*b),
-            Gate::Not(i) => {
-                let inner = values[i.0].as_ref().expect("ids are topological");
-                pass.not(circuit, *i, inner)
-            }
-            Gate::And(inputs) => {
-                let mut acc = pass.one();
-                for &i in inputs {
-                    pass.mul_assign(&mut acc, values[i.0].as_ref().expect("ids are topological"));
-                }
-                acc
-            }
-            Gate::Or(inputs) => {
-                let mut acc = pass.zero();
-                for &i in inputs {
-                    pass.add_assign(&mut acc, values[i.0].as_ref().expect("ids are topological"));
-                }
-                acc
-            }
+            Gate::Not(i) => pass.not(circuit, *i, input(*i)),
+            Gate::And(inputs) => pass.and(inputs.iter().map(|&i| input(i))),
+            Gate::Or(inputs) => pass.or(inputs.iter().map(|&i| input(i))),
         };
         values[id] = Some(value);
     }

@@ -1524,9 +1524,12 @@ impl EvalSession {
     /// one certified-interval f64 pass per request, returning the point
     /// estimate (interval midpoint) together with the [`ErrorInterval`]
     /// guaranteed to contain the exact rational answer. The pass is linear
-    /// in the circuit size with `f64` gate operations — on eval-bound
-    /// workloads this is more than an order of magnitude cheaper than the
-    /// exact rational pass (see `benches/approx_eval.rs`).
+    /// in the circuit size with `f64` gate operations, but it is *not*
+    /// cheaper than exact evaluation on the serving shapes: the exact tier
+    /// is one scaled-integer pass, and the float tier's per-leaf conversion
+    /// ([`ErrorInterval::from_rational`]) costs more than the integer
+    /// pass's leaf weights (about 0.5 ms exact against 1.2 ms f64 for the
+    /// median request of the perfbench `serve_warm` workload).
     ///
     /// Under [`SessionBackend::FloatFirst`], a (query, instance) pair whose
     /// compilation exceeds the state budget degrades to the Karp–Luby
@@ -1582,7 +1585,7 @@ impl EvalSession {
     /// * on [`SessionBackend::FloatFirst`]: the certified f64 interval pass
     ///   decides when the threshold lies strictly outside the interval
     ///   ([`DecisionTier::Float`]); otherwise the request falls back to the
-    ///   exact rational pass ([`DecisionTier::Exact`]) — so the decision is
+    ///   exact pass ([`DecisionTier::Exact`]) — so the decision is
     ///   always *bit-identical* to what an exact backend would return (the
     ///   containment contract `exact ∈ interval` makes the float answer
     ///   sound whenever it is used). Pairs whose compilation blows the
@@ -2677,6 +2680,48 @@ mod tests {
         assert!(dd_report.dd_nodes.unwrap() > 0);
         assert!(dd_report.gates.is_none());
         assert_eq!(dd_report.estimate, exact.to_f64());
+    }
+
+    #[test]
+    fn warm_exact_explain_lists_the_eval_exact_stage() {
+        for threads in [1usize, 2] {
+            let config = EngineConfig {
+                telemetry: treelineage_telemetry::Telemetry::enabled(),
+                ..EngineConfig::with_threads(threads)
+            };
+            let mut session = EvalSession::with_backend(config, SessionBackend::Automaton);
+            let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
+            // Long enough for the 2-thread plan to cut fragments, so the
+            // fragment-parallel branch of the pass is the one traced.
+            let i = session.register_instance(chain(40));
+            let request = ProbabilityRequest {
+                query: q,
+                instance: i,
+                valuation: ProbabilityValuation::uniform(
+                    session.instance(i),
+                    Rational::from_ratio_u64(2, 7),
+                ),
+            };
+            let exact = session.batch_probability(std::slice::from_ref(&request))[0]
+                .clone()
+                .unwrap();
+            let warm = session.explain(&request).unwrap();
+            assert!(warm.lineage_cached, "threads={threads}");
+            assert_eq!(warm.tier, DecisionTier::Exact);
+            assert_eq!(warm.estimate, exact.to_f64());
+            let stage = |name: &str| warm.stages.iter().find(|s| s.name == name);
+            let eval = stage("eval_exact").unwrap_or_else(|| {
+                panic!(
+                    "threads={threads}: no eval_exact stage in {:?}",
+                    warm.stages
+                )
+            });
+            assert_eq!(eval.count, 1);
+            assert!(eval.total_ns <= warm.total_ns);
+            let parallel = warm.fragments.unwrap() > 0;
+            assert_eq!(parallel, threads > 1);
+            assert_eq!(stage("eval_fragment").is_some(), parallel);
+        }
     }
 
     #[test]

@@ -4,19 +4,31 @@
 //! (The engine threads a handle through every pipeline stage; this test is
 //! what lets it do so unconditionally instead of branching at every call
 //! site.)
+//!
+//! The count is kept *per thread*: the test harness runs the tests of this
+//! file concurrently, and a process-global counter would also see the
+//! allocations the sibling test makes on its own thread inside the measured
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use treelineage_telemetry::Telemetry;
 
-/// A pass-through allocator that counts allocation calls.
+/// A pass-through allocator that counts allocation calls of the calling
+/// thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or recurses.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        // `try_with`: allocations during thread teardown, after the slot is
+        // gone, are simply not counted.
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -28,8 +40,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
