@@ -259,12 +259,14 @@ impl ParallelDnnf {
     /// answer, and — like every pass here — it is *identical at every
     /// thread count*: each gate's interval depends only on its input gates'
     /// intervals and the fixed operand order, and parallelism only changes
-    /// which thread computes a gate, never the gate's inputs.
+    /// which thread computes a gate, never the gate's inputs. The pass,
+    /// leaf conversions included, runs under one `eval_interval` span.
     pub fn probability_interval(
         &self,
         prob: &(dyn Fn(usize) -> ErrorInterval + Sync),
         threads: usize,
     ) -> ErrorInterval {
+        let _span = self.telemetry.span("eval_interval");
         run_pass(
             self.structured.dnnf().circuit(),
             &self.partition,
@@ -276,13 +278,15 @@ impl ParallelDnnf {
 
     /// The float fast-path of [`ParallelDnnf::wmc`], with the same
     /// containment and thread-count-independence guarantees as
-    /// [`ParallelDnnf::probability_interval`].
+    /// [`ParallelDnnf::probability_interval`], under one `eval_interval`
+    /// span.
     pub fn wmc_interval(
         &self,
         pos: &(dyn Fn(usize) -> ErrorInterval + Sync),
         neg: &(dyn Fn(usize) -> ErrorInterval + Sync),
         threads: usize,
     ) -> ErrorInterval {
+        let _span = self.telemetry.span("eval_interval");
         run_pass(
             self.structured.dnnf().circuit(),
             &self.partition,

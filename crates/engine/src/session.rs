@@ -1524,12 +1524,12 @@ impl EvalSession {
     /// one certified-interval f64 pass per request, returning the point
     /// estimate (interval midpoint) together with the [`ErrorInterval`]
     /// guaranteed to contain the exact rational answer. The pass is linear
-    /// in the circuit size with `f64` gate operations, but it is *not*
-    /// cheaper than exact evaluation on the serving shapes: the exact tier
-    /// is one scaled-integer pass, and the float tier's per-leaf conversion
-    /// ([`ErrorInterval::from_rational`]) costs more than the integer
-    /// pass's leaf weights (about 0.5 ms exact against 1.2 ms f64 for the
-    /// median request of the perfbench `serve_warm` workload).
+    /// in the circuit size with `f64` gate operations, and each leaf's
+    /// conversion ([`ErrorInterval::from_rational`]) is one division and
+    /// one `u128` comparison for probabilities whose numerator and
+    /// denominator are at most `2^53`, so on the serving shapes it is
+    /// cheaper than the exact tier's scaled-integer pass, whose operands
+    /// grow with the instance.
     ///
     /// Under [`SessionBackend::FloatFirst`], a (query, instance) pair whose
     /// compilation exceeds the state budget degrades to the Karp–Luby
@@ -2682,26 +2682,49 @@ mod tests {
         assert_eq!(dd_report.estimate, exact.to_f64());
     }
 
+    /// A traced session on `backend` with one chain-40 request registered.
+    /// The chain is long enough for the 2-thread plan to cut fragments, so
+    /// at `threads = 2` the fragment-parallel branch of a pass is traced.
+    fn traced_chain_session(
+        backend: SessionBackend,
+        threads: usize,
+    ) -> (EvalSession, ProbabilityRequest) {
+        let config = EngineConfig {
+            telemetry: treelineage_telemetry::Telemetry::enabled(),
+            ..EngineConfig::with_threads(threads)
+        };
+        let mut session = EvalSession::with_backend(config, backend);
+        let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
+        let i = session.register_instance(chain(40));
+        let request = ProbabilityRequest {
+            query: q,
+            instance: i,
+            valuation: ProbabilityValuation::uniform(
+                session.instance(i),
+                Rational::from_ratio_u64(2, 7),
+            ),
+        };
+        (session, request)
+    }
+
+    /// Asserts that a warm report lists the evaluation stage `name` once,
+    /// within the request's total, with `eval_fragment` spans exactly when
+    /// the pass ran fragment-parallel.
+    fn assert_lists_eval_stage(warm: &ExplainReport, name: &str, threads: usize) {
+        let stage = |name: &str| warm.stages.iter().find(|s| s.name == name);
+        let eval = stage(name)
+            .unwrap_or_else(|| panic!("threads={threads}: no {name} stage in {:?}", warm.stages));
+        assert_eq!(eval.count, 1);
+        assert!(eval.total_ns <= warm.total_ns);
+        let parallel = warm.fragments.unwrap() > 0;
+        assert_eq!(parallel, threads > 1);
+        assert_eq!(stage("eval_fragment").is_some(), parallel);
+    }
+
     #[test]
     fn warm_exact_explain_lists_the_eval_exact_stage() {
         for threads in [1usize, 2] {
-            let config = EngineConfig {
-                telemetry: treelineage_telemetry::Telemetry::enabled(),
-                ..EngineConfig::with_threads(threads)
-            };
-            let mut session = EvalSession::with_backend(config, SessionBackend::Automaton);
-            let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
-            // Long enough for the 2-thread plan to cut fragments, so the
-            // fragment-parallel branch of the pass is the one traced.
-            let i = session.register_instance(chain(40));
-            let request = ProbabilityRequest {
-                query: q,
-                instance: i,
-                valuation: ProbabilityValuation::uniform(
-                    session.instance(i),
-                    Rational::from_ratio_u64(2, 7),
-                ),
-            };
+            let (session, request) = traced_chain_session(SessionBackend::Automaton, threads);
             let exact = session.batch_probability(std::slice::from_ref(&request))[0]
                 .clone()
                 .unwrap();
@@ -2709,18 +2732,25 @@ mod tests {
             assert!(warm.lineage_cached, "threads={threads}");
             assert_eq!(warm.tier, DecisionTier::Exact);
             assert_eq!(warm.estimate, exact.to_f64());
-            let stage = |name: &str| warm.stages.iter().find(|s| s.name == name);
-            let eval = stage("eval_exact").unwrap_or_else(|| {
-                panic!(
-                    "threads={threads}: no eval_exact stage in {:?}",
-                    warm.stages
-                )
-            });
-            assert_eq!(eval.count, 1);
-            assert!(eval.total_ns <= warm.total_ns);
-            let parallel = warm.fragments.unwrap() > 0;
-            assert_eq!(parallel, threads > 1);
-            assert_eq!(stage("eval_fragment").is_some(), parallel);
+            assert_lists_eval_stage(&warm, "eval_exact", threads);
+        }
+    }
+
+    #[test]
+    fn warm_float_explain_lists_the_eval_interval_stage() {
+        for threads in [1usize, 2] {
+            let (session, request) = traced_chain_session(SessionBackend::FloatFirst, threads);
+            let (estimate, interval) = session
+                .batch_probability_f64(std::slice::from_ref(&request))[0]
+                .clone()
+                .unwrap();
+            let warm = session.explain(&request).unwrap();
+            assert!(warm.lineage_cached, "threads={threads}");
+            assert_eq!(warm.tier, DecisionTier::Float);
+            assert_eq!(warm.estimate, estimate);
+            assert_eq!(warm.interval_width, interval.width());
+            assert_lists_eval_stage(&warm, "eval_interval", threads);
+            assert!(warm.stages.iter().all(|s| s.name != "eval_exact"));
         }
     }
 

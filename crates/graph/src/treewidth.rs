@@ -88,66 +88,83 @@ pub fn decomposition_from_elimination_order(g: &Graph, order: &[Vertex]) -> Tree
 }
 
 /// The min-degree heuristic: repeatedly eliminate a vertex of minimum degree
-/// in the current fill graph. Returns the elimination ordering.
+/// in the current fill graph (the smallest such vertex on ties). Returns the
+/// elimination ordering.
 pub fn min_degree_order(g: &Graph) -> Vec<Vertex> {
-    elimination_heuristic(g, |adj, remaining| {
-        remaining
-            .iter()
-            .copied()
-            .min_by_key(|&v| adj[v].iter().filter(|u| remaining.contains(u)).count())
-            .unwrap()
-    })
+    elimination_heuristic(g, Refresh::Neighbors, |adj, v| adj[v].len())
 }
 
 /// The min-fill heuristic: repeatedly eliminate the vertex whose elimination
-/// adds the fewest fill edges. Returns the elimination ordering.
+/// adds the fewest fill edges (the smallest such vertex on ties). Returns
+/// the elimination ordering.
 pub fn min_fill_order(g: &Graph) -> Vec<Vertex> {
-    elimination_heuristic(g, |adj, remaining| {
-        remaining
-            .iter()
-            .copied()
-            .min_by_key(|&v| {
-                let neighbors: Vec<Vertex> = adj[v]
-                    .iter()
-                    .copied()
-                    .filter(|u| remaining.contains(u))
-                    .collect();
-                let mut fill = 0usize;
-                for i in 0..neighbors.len() {
-                    for j in i + 1..neighbors.len() {
-                        if !adj[neighbors[i]].contains(&neighbors[j]) {
-                            fill += 1;
-                        }
-                    }
-                }
-                fill
-            })
-            .unwrap()
-    })
+    elimination_heuristic(g, Refresh::TwoHop, fill_in)
 }
 
-fn elimination_heuristic<F>(g: &Graph, mut pick: F) -> Vec<Vertex>
-where
-    F: FnMut(&[BTreeSet<Vertex>], &BTreeSet<Vertex>) -> Vertex,
-{
+/// Number of fill edges eliminating `v` would add: pairs of its neighbours
+/// that are not adjacent.
+fn fill_in(adj: &[BTreeSet<Vertex>], v: Vertex) -> usize {
+    let neighbors: Vec<Vertex> = adj[v].iter().copied().collect();
+    let mut fill = 0usize;
+    for i in 0..neighbors.len() {
+        for j in i + 1..neighbors.len() {
+            if !adj[neighbors[i]].contains(&neighbors[j]) {
+                fill += 1;
+            }
+        }
+    }
+    fill
+}
+
+/// Which vertices can change score when a vertex is eliminated.
+#[derive(Clone, Copy, PartialEq)]
+enum Refresh {
+    /// Only its neighbours: they lose it and gain fill edges (degree).
+    Neighbors,
+    /// Its neighbours and theirs: a vertex adjacent to two of its
+    /// neighbours can see a fill edge appear between them (fill-in).
+    TwoHop,
+}
+
+/// Greedy elimination over the fill graph of the vertices not yet
+/// eliminated. Vertices wait in a `(score, vertex)` priority set, so each
+/// step takes the first vertex of minimum score in ascending vertex order,
+/// and only the vertices `refresh` names are rescored after it.
+fn elimination_heuristic(
+    g: &Graph,
+    refresh: Refresh,
+    score: fn(&[BTreeSet<Vertex>], Vertex) -> usize,
+) -> Vec<Vertex> {
     let n = g.vertex_count();
     let mut adjacency: Vec<BTreeSet<Vertex>> = (0..n).map(|v| g.neighbor_set(v).clone()).collect();
-    let mut remaining: BTreeSet<Vertex> = (0..n).collect();
+    let mut scores: Vec<usize> = (0..n).map(|v| score(&adjacency, v)).collect();
+    let mut queue: BTreeSet<(usize, Vertex)> = (0..n).map(|v| (scores[v], v)).collect();
     let mut order = Vec::with_capacity(n);
-    while !remaining.is_empty() {
-        let v = pick(&adjacency, &remaining);
-        let neighbors: Vec<Vertex> = adjacency[v]
-            .iter()
-            .copied()
-            .filter(|u| remaining.contains(u))
-            .collect();
+    while let Some((_, v)) = queue.pop_first() {
+        let neighbors: Vec<Vertex> = std::mem::take(&mut adjacency[v]).into_iter().collect();
+        for &u in &neighbors {
+            adjacency[u].remove(&v);
+        }
         for i in 0..neighbors.len() {
             for j in i + 1..neighbors.len() {
                 adjacency[neighbors[i]].insert(neighbors[j]);
                 adjacency[neighbors[j]].insert(neighbors[i]);
             }
         }
-        remaining.remove(&v);
+        let mut stale: BTreeSet<Vertex> = neighbors.iter().copied().collect();
+        if refresh == Refresh::TwoHop {
+            for &u in &neighbors {
+                stale.extend(adjacency[u].iter().copied());
+            }
+        }
+        for u in stale {
+            let fresh = score(&adjacency, u);
+            if fresh != scores[u] {
+                queue.remove(&(scores[u], u));
+                queue.insert((fresh, u));
+                scores[u] = fresh;
+            }
+        }
         order.push(v);
     }
     order
@@ -366,6 +383,119 @@ pub fn pathwidth_exact(g: &Graph) -> usize {
 mod tests {
     use super::*;
     use crate::generators;
+
+    /// The full-scan heuristics the incremental ones replaced, kept as their
+    /// oracle: every step rescans every remaining vertex.
+    mod full_scan {
+        use crate::graph::{Graph, Vertex};
+        use std::collections::BTreeSet;
+
+        pub fn min_degree_order(g: &Graph) -> Vec<Vertex> {
+            elimination_heuristic(g, |adj, remaining| {
+                remaining
+                    .iter()
+                    .copied()
+                    .min_by_key(|&v| adj[v].iter().filter(|u| remaining.contains(u)).count())
+                    .unwrap()
+            })
+        }
+
+        pub fn min_fill_order(g: &Graph) -> Vec<Vertex> {
+            elimination_heuristic(g, |adj, remaining| {
+                remaining
+                    .iter()
+                    .copied()
+                    .min_by_key(|&v| {
+                        let neighbors: Vec<Vertex> = adj[v]
+                            .iter()
+                            .copied()
+                            .filter(|u| remaining.contains(u))
+                            .collect();
+                        let mut fill = 0usize;
+                        for i in 0..neighbors.len() {
+                            for j in i + 1..neighbors.len() {
+                                if !adj[neighbors[i]].contains(&neighbors[j]) {
+                                    fill += 1;
+                                }
+                            }
+                        }
+                        fill
+                    })
+                    .unwrap()
+            })
+        }
+
+        fn elimination_heuristic<F>(g: &Graph, mut pick: F) -> Vec<Vertex>
+        where
+            F: FnMut(&[BTreeSet<Vertex>], &BTreeSet<Vertex>) -> Vertex,
+        {
+            let n = g.vertex_count();
+            let mut adjacency: Vec<BTreeSet<Vertex>> =
+                (0..n).map(|v| g.neighbor_set(v).clone()).collect();
+            let mut remaining: BTreeSet<Vertex> = (0..n).collect();
+            let mut order = Vec::with_capacity(n);
+            while !remaining.is_empty() {
+                let v = pick(&adjacency, &remaining);
+                let neighbors: Vec<Vertex> = adjacency[v]
+                    .iter()
+                    .copied()
+                    .filter(|u| remaining.contains(u))
+                    .collect();
+                for i in 0..neighbors.len() {
+                    for j in i + 1..neighbors.len() {
+                        adjacency[neighbors[i]].insert(neighbors[j]);
+                        adjacency[neighbors[j]].insert(neighbors[i]);
+                    }
+                }
+                remaining.remove(&v);
+                order.push(v);
+            }
+            order
+        }
+    }
+
+    fn assert_heuristics_match_full_scan(g: &Graph) {
+        assert_eq!(min_degree_order(g), full_scan::min_degree_order(g));
+        assert_eq!(min_fill_order(g), full_scan::min_fill_order(g));
+    }
+
+    #[test]
+    fn incremental_heuristics_match_full_scan_on_families() {
+        for g in [
+            Graph::new(0),
+            generators::path_graph(1),
+            generators::path_graph(40),
+            generators::cycle_graph(12),
+            generators::star_graph(9),
+            generators::complete_graph(7),
+            generators::grid_graph(5, 5),
+            generators::grid_graph(3, 8),
+            generators::caterpillar(6, 3),
+            generators::ladder_graph(8),
+            generators::balanced_binary_tree(31),
+            generators::complete_bipartite_graph(3, 5),
+        ] {
+            assert_heuristics_match_full_scan(&g);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn incremental_heuristics_match_full_scan(
+            n in 2usize..40,
+            k in 1usize..5,
+            p in 0usize..100,
+            seed in 0u64..u64::MAX,
+        ) {
+            let p = p as f64 / 100.0;
+            assert_heuristics_match_full_scan(&generators::random_graph(n, p / 2.0, seed));
+            assert_heuristics_match_full_scan(&generators::random_partial_k_tree(n + k, k, p, seed));
+            assert_heuristics_match_full_scan(&generators::k_tree(n + k, k, seed).0);
+            assert_heuristics_match_full_scan(&generators::random_tree(n, seed));
+            assert_heuristics_match_full_scan(&generators::grid_graph(1 + n % 6, 1 + k + n / 6));
+            assert_heuristics_match_full_scan(&generators::path_graph(n));
+        }
+    }
 
     #[test]
     fn elimination_decomposition_is_valid_on_small_graphs() {

@@ -146,18 +146,30 @@ impl Rational {
     /// Correctly-rounded conversion to `f64` (round to nearest, ties to
     /// even; values past `f64::MAX` round to the infinity of matching sign).
     ///
-    /// Built on [`Rational::to_f64_bounds`]: the two candidate floats come
-    /// from the certified bracket, and the nearest one is selected by exact
-    /// rational comparison against their midpoint — no rounding analysis of
-    /// the fast approximation is trusted. (The previous implementation
-    /// shifted numerator and denominator by a *common* amount past 900 bits,
-    /// which collapsed a small denominator to zero — `2^950 / 2^10` came
-    /// back `inf` despite being comfortably inside `f64` range — and
+    /// When numerator and denominator are at most `2^53` in magnitude both
+    /// are exact in `f64`, so their IEEE quotient *is* the correctly rounded
+    /// value and is returned directly. Larger operands go through
+    /// [`Rational::to_f64_bounds`]: the two candidate floats come from the
+    /// certified bracket, and the nearest one is selected by exact rational
+    /// comparison against their midpoint — no rounding analysis of the fast
+    /// approximation is trusted. (The previous implementation shifted
+    /// numerator and denominator by a *common* amount past 900 bits, which
+    /// collapsed a small denominator to zero — `2^950 / 2^10` came back
+    /// `inf` despite being comfortably inside `f64` range — and
     /// double-rounded through per-limb float accumulation below the
     /// threshold.)
     pub fn to_f64(&self) -> f64 {
-        use std::cmp::Ordering;
-        let (lo, hi) = self.to_f64_bounds();
+        if let Some((negative, n, d)) = self.f64_exact_parts() {
+            let q = n as f64 / d as f64;
+            return if negative { -q } else { q };
+        }
+        self.to_f64_walk()
+    }
+
+    /// The general path of [`Rational::to_f64`]: the certified bracket of
+    /// [`Rational::walk_bounds`], then an exact midpoint comparison.
+    fn to_f64_walk(&self) -> f64 {
+        let (lo, hi) = self.walk_bounds();
         if lo == hi {
             return lo;
         }
@@ -218,23 +230,64 @@ impl Rational {
     /// representable, and otherwise `hi == lo.next_up()`). Values beyond
     /// `f64` range get the saturating bound (`f64::MAX`/`inf` and duals).
     ///
-    /// This is the certified conversion the interval fast-path is built on:
-    /// the fast truncation-based candidate is *verified and corrected by
-    /// exact rational comparison* (finite floats are dyadic rationals), so
-    /// no rounding analysis of the approximation is trusted.
+    /// This is the certified conversion the interval fast-path is built on,
+    /// and every candidate is *verified by exact comparison* (finite floats
+    /// are dyadic rationals), so no rounding analysis is trusted:
+    ///
+    /// * when numerator and denominator are at most `2^53` in magnitude
+    ///   (every probability a caller types in), both are exact in `f64` and
+    ///   `q = n / d` is one IEEE division; a single `u128` comparison of
+    ///   `q`'s mantissa and exponent against `n / d` then picks `(q, q)`,
+    ///   `(q.next_down(), q)` or `(q, q.next_up())` — constant time, no
+    ///   allocation;
+    /// * larger operands walk from a truncation-based candidate
+    ///   (`walk_bounds`), comparing each step exactly.
     pub fn to_f64_bounds(&self) -> (f64, f64) {
-        use std::cmp::Ordering;
-        let cmp = |f: f64| -> Ordering {
-            if f == f64::INFINITY {
-                return Ordering::Greater;
-            }
-            if f == f64::NEG_INFINITY {
-                return Ordering::Less;
-            }
-            Rational::from_f64_dyadic(f)
-                .expect("candidate bounds are never NaN")
-                .cmp(self)
+        let Some((negative, n, d)) = self.f64_exact_parts() else {
+            return self.walk_bounds();
         };
+        let q = n as f64 / d as f64;
+        let (lo, hi) = match cmp_f64_small(q, false, n, d) {
+            Ordering::Equal => (q, q),
+            Ordering::Greater => (q.next_down(), q),
+            Ordering::Less => (q, q.next_up()),
+        };
+        debug_assert!(
+            cmp_f64_small(lo, false, n, d) != Ordering::Greater
+                && cmp_f64_small(hi, false, n, d) != Ordering::Less,
+            "IEEE division is correctly rounded"
+        );
+        if negative {
+            (-hi, -lo)
+        } else {
+            (lo, hi)
+        }
+    }
+
+    /// `(negative, |numerator|, denominator)` when both fit in a `u64`.
+    fn small_parts(&self) -> Option<(bool, u64, u64)> {
+        Some((
+            self.numerator.is_negative(),
+            self.numerator.magnitude().to_u64()?,
+            self.denominator.to_u64()?,
+        ))
+    }
+
+    /// [`Rational::small_parts`] when both operands are at most `2^53`, so
+    /// each converts to `f64` exactly.
+    fn f64_exact_parts(&self) -> Option<(bool, u64, u64)> {
+        const EXACT: u64 = 1 << 53;
+        self.small_parts()
+            .filter(|&(_, n, d)| n <= EXACT && d <= EXACT)
+    }
+
+    /// The general path of [`Rational::to_f64_bounds`], for any operand
+    /// size: starting from the fast truncation-based candidate, walk down
+    /// until the candidate is `<= self` and back up while still `<= self`
+    /// (dually for `hi`), comparing each candidate by exact rational
+    /// arithmetic.
+    fn walk_bounds(&self) -> (f64, f64) {
+        let cmp = |f: f64| cmp_f64_big(f, self);
         let approx = self.to_f64_approx();
         debug_assert!(!approx.is_nan());
         // Largest f64 <= self: walk down until <=, then back up while still <=.
@@ -307,6 +360,73 @@ fn ldexp(x: f64, exp: i64) -> f64 {
         exp -= step;
     }
     x
+}
+
+/// The exact order of `f` (any `f64` but `NaN`) relative to `r`: finite
+/// floats are dyadic rationals. Operands that fit in a `u64` are compared in
+/// `u128` arithmetic ([`cmp_f64_small`]); larger ones through
+/// [`Rational::from_f64_dyadic`] and a `BigUint` cross-multiplication.
+pub(crate) fn cmp_f64_rational(f: f64, r: &Rational) -> Ordering {
+    match r.small_parts() {
+        Some((negative, n, d)) => cmp_f64_small(f, negative, n, d),
+        None => cmp_f64_big(f, r),
+    }
+}
+
+/// [`cmp_f64_rational`] by exact rational arithmetic, for any operand size.
+fn cmp_f64_big(f: f64, r: &Rational) -> Ordering {
+    if f == f64::INFINITY {
+        return Ordering::Greater;
+    }
+    if f == f64::NEG_INFINITY {
+        return Ordering::Less;
+    }
+    Rational::from_f64_dyadic(f)
+        .expect("compared floats are never NaN")
+        .cmp(r)
+}
+
+/// The order of `f` (any `f64` but `NaN`) relative to `±n/d` (`d > 0`,
+/// negative when `negative`), decided exactly without allocating.
+fn cmp_f64_small(f: f64, negative: bool, n: u64, d: u64) -> Ordering {
+    let f_sign = f.partial_cmp(&0.0).expect("compared floats are never NaN");
+    let r_sign = match (n, negative) {
+        (0, _) => Ordering::Equal,
+        (_, true) => Ordering::Less,
+        (_, false) => Ordering::Greater,
+    };
+    // Differing signs decide alone, as do two zeros (`-0.0` included) and
+    // an infinite `f`.
+    if f_sign != r_sign || f_sign == Ordering::Equal {
+        return f_sign.cmp(&r_sign);
+    }
+    if f.is_infinite() {
+        return f_sign;
+    }
+    // |f| = m·2^e with m < 2^53, so |f| vs n/d is m·d·2^e vs n, and
+    // m·d < 2^117 fits in a u128. Whichever side gets the power of two, a
+    // shift that would overflow u128 leaves that side at least 2^128, above
+    // the other side.
+    let bits = f.to_bits();
+    let biased = ((bits >> 52) & 0x7FF) as i32;
+    let fraction = bits & 0xF_FFFF_FFFF_FFFF;
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    let md = u128::from(m) * u128::from(d);
+    let shl = |x: u128, k: u32| (k <= x.leading_zeros()).then(|| x << k);
+    let magnitude = if e >= 0 {
+        shl(md, e as u32).map_or(Ordering::Greater, |lhs| lhs.cmp(&u128::from(n)))
+    } else {
+        shl(u128::from(n), e.unsigned_abs()).map_or(Ordering::Less, |rhs| md.cmp(&rhs))
+    };
+    if negative {
+        magnitude.reverse()
+    } else {
+        magnitude
+    }
 }
 
 impl Default for Rational {
@@ -528,6 +648,131 @@ mod tests {
         for (n, d) in [(1u64, 2u64), (3, 4), (7, 8), (1, 1), (0, 1), (5, 16)] {
             let r = Rational::from_ratio_u64(n, d);
             assert!((r.to_f64() - n as f64 / d as f64).abs() < 1e-12);
+        }
+    }
+
+    /// Rationals `±n/d` on the operand sizes around the `2^53` cut of the
+    /// small-operand fast path.
+    fn straddling_2_53() -> Vec<Rational> {
+        let p = 1u64 << 53;
+        let edges = [1, 2, 3, 7, 1 << 20, p - 2, p - 1, p, p + 1, p + 2, u64::MAX];
+        let mut out = vec![Rational::zero()];
+        for &n in &edges {
+            for &d in &edges {
+                let r = Rational::new(BigInt::from_u64(n), BigUint::from_u64(d));
+                out.push(-r.clone());
+                out.push(r);
+            }
+        }
+        out
+    }
+
+    /// `to_f64_bounds` / `to_f64` agree bit for bit with the general walk.
+    fn assert_fast_path_matches_walk(r: &Rational) {
+        let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+        assert_eq!(
+            bits(r.to_f64_bounds()),
+            bits(r.walk_bounds()),
+            "bounds of {r}"
+        );
+        assert_eq!(
+            r.to_f64().to_bits(),
+            r.to_f64_walk().to_bits(),
+            "to_f64 of {r}"
+        );
+    }
+
+    #[test]
+    fn fast_conversion_matches_walk_at_the_2_53_edges() {
+        for r in straddling_2_53() {
+            assert_fast_path_matches_walk(&r);
+        }
+        for b in 2..=16u64 {
+            for a in 0..=b {
+                assert_fast_path_matches_walk(&Rational::from_ratio_u64(a, b));
+                assert_fast_path_matches_walk(&Rational::from_ratio_i64(-(a as i64), b));
+            }
+        }
+        assert_fast_path_matches_walk(&Rational::one());
+        assert_fast_path_matches_walk(&Rational::from_ratio_u64(1 << 53, 1));
+    }
+
+    /// Floats next to each of `r`'s bounds, plus the signed zeros and the
+    /// infinities.
+    fn probe_floats(r: &Rational) -> Vec<f64> {
+        let (lo, hi) = r.walk_bounds();
+        let mut out = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        for f in [lo, hi] {
+            out.extend([f, f.next_down(), f.next_up(), -f]);
+        }
+        out.retain(|f| !f.is_nan());
+        out
+    }
+
+    #[test]
+    fn small_comparison_matches_big_on_dyadic_thresholds() {
+        let mut thresholds: Vec<Rational> = (0..=64u64)
+            .chain([(1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 << 19])
+            .map(|k| Rational::new(BigInt::from_u64(k), BigUint::pow2(20)))
+            .collect();
+        thresholds.extend(straddling_2_53());
+        for r in &thresholds {
+            let (negative, n, d) = r.small_parts().expect("u64-sized operands");
+            for f in probe_floats(r)
+                .into_iter()
+                .chain([5e-324, 1e300, f64::MAX, -f64::MAX])
+            {
+                assert_eq!(
+                    cmp_f64_small(f, negative, n, d),
+                    cmp_f64_big(f, r),
+                    "{f:e} vs {r}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fast_conversion_matches_walk(n in -(1i64 << 40)..(1i64 << 40), d in 1u64..(1 << 40)) {
+            assert_fast_path_matches_walk(&Rational::from_ratio_i64(n, d));
+        }
+
+        #[test]
+        fn fast_conversion_matches_walk_near_2_53(
+            n in (1u64 << 53) - (1 << 12)..(1u64 << 53) + (1 << 12),
+            d in 1u64..(1 << 53) + (1 << 12),
+            swap in 0u8..2,
+            negate in 0u8..2,
+        ) {
+            let (n, d) = if swap == 1 { (d, n) } else { (n, d) };
+            let mut r = Rational::new(BigInt::from_u64(n), BigUint::from_u64(d));
+            if negate == 1 {
+                r = -r;
+            }
+            assert_fast_path_matches_walk(&r);
+        }
+
+        #[test]
+        fn small_comparison_matches_big(
+            k in 0u64..(1 << 20) + 1,
+            n in -(1i64 << 62)..(1i64 << 62),
+            d in 1u64..u64::MAX,
+        ) {
+            for r in [
+                Rational::new(BigInt::from_u64(k), BigUint::pow2(20)),
+                Rational::from_ratio_i64(n, d),
+            ] {
+                let (negative, n, d) = r.small_parts().expect("u64-sized operands");
+                for f in probe_floats(&r) {
+                    assert_eq!(cmp_f64_small(f, negative, n, d), cmp_f64_big(f, &r), "{f:e} vs {r}");
+                }
+            }
         }
     }
 
