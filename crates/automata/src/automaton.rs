@@ -69,6 +69,10 @@ pub struct TreeAutomaton {
     /// set of reachable states.
     internal_transitions: Vec<BTreeMap<(State, State), BTreeSet<State>>>,
     accepting: BTreeSet<State>,
+    /// Whether every transition added so far leads to at most one state,
+    /// kept up to date by the two `add_*_transition` methods so that
+    /// [`TreeAutomaton::is_deterministic`] never scans the transitions.
+    deterministic: bool,
 }
 
 impl TreeAutomaton {
@@ -81,6 +85,7 @@ impl TreeAutomaton {
             leaf_transitions: vec![BTreeSet::new(); alphabet_size],
             internal_transitions: vec![BTreeMap::new(); alphabet_size],
             accepting: BTreeSet::new(),
+            deterministic: true,
         }
     }
 
@@ -98,7 +103,9 @@ impl TreeAutomaton {
     /// `state`.
     pub fn add_leaf_transition(&mut self, label: Label, state: State) {
         assert!(label < self.alphabet_size && state < self.state_count);
-        self.leaf_transitions[label].insert(state);
+        let targets = &mut self.leaf_transitions[label];
+        targets.insert(state);
+        self.deterministic &= targets.len() <= 1;
     }
 
     /// Adds an internal transition: a node labelled `label` whose children
@@ -112,10 +119,11 @@ impl TreeAutomaton {
     ) {
         assert!(label < self.alphabet_size);
         assert!(left < self.state_count && right < self.state_count && state < self.state_count);
-        self.internal_transitions[label]
+        let targets = self.internal_transitions[label]
             .entry((left, right))
-            .or_default()
-            .insert(state);
+            .or_default();
+        targets.insert(state);
+        self.deterministic &= targets.len() <= 1;
     }
 
     /// Marks a state as accepting.
@@ -135,23 +143,21 @@ impl TreeAutomaton {
     }
 
     /// The states an internal node with the given label and child states may
-    /// evaluate to.
-    pub fn internal_states(&self, label: Label, left: State, right: State) -> BTreeSet<State> {
+    /// evaluate to (borrowed: the innermost loop of every bottom-up pass
+    /// calls this once per pair of child states).
+    pub fn internal_states(&self, label: Label, left: State, right: State) -> &BTreeSet<State> {
+        static NONE: BTreeSet<State> = BTreeSet::new();
         self.internal_transitions[label]
             .get(&(left, right))
-            .cloned()
-            .unwrap_or_default()
+            .unwrap_or(&NONE)
     }
 
     /// Returns `true` if the automaton is (bottom-up) deterministic: every
     /// leaf label and every (label, left, right) combination leads to at most
-    /// one state.
+    /// one state. Constant time: the flag is maintained as transitions are
+    /// added.
     pub fn is_deterministic(&self) -> bool {
-        self.leaf_transitions.iter().all(|s| s.len() <= 1)
-            && self
-                .internal_transitions
-                .iter()
-                .all(|m| m.values().all(|s| s.len() <= 1))
+        self.deterministic
     }
 
     /// Computes the set of states reachable at every node of the tree
@@ -201,8 +207,7 @@ impl TreeAutomaton {
                         None
                     } else {
                         self.internal_states(label, run[l.0], run[r.0])
-                            .iter()
-                            .next()
+                            .first()
                             .copied()
                     }
                 }

@@ -70,7 +70,8 @@ pub use automaton::{
 };
 pub use provenance::{acceptance_probability_bruteforce, provenance_circuit};
 pub use structured::{
-    compile_structured_dnnf, compile_structured_dnnf_traced, StructuredDnnf, StructuredDnnfError,
+    check_compilable, compile_structured_dnnf, compile_structured_dnnf_traced, compile_subtree,
+    NodeGates, StructuredDnnf, StructuredDnnfError,
 };
 pub use tree::{BinaryTree, Label, NodeAnnotation, NodeId, UncertainTree};
 

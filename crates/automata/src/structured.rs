@@ -25,10 +25,10 @@
 //! all linear in its size — the "linear-time probability without OBDD
 //! blowup" extension that motivates the d-SDNNF backend.
 
-use crate::automaton::TreeAutomaton;
-use crate::tree::{NodeAnnotation, UncertainTree};
+use crate::automaton::{State, TreeAutomaton};
+use crate::tree::{NodeAnnotation, NodeId, UncertainTree};
 use std::collections::BTreeMap;
-use treelineage_circuit::{Circuit, Dnnf, GateId, ScaledWeights, Vtree, VtreeId};
+use treelineage_circuit::{Circuit, Dnnf, Gate, GateId, ScaledWeights, Vtree, VtreeId};
 use treelineage_num::{BigUint, Rational};
 
 /// Errors reported by the structured compiler.
@@ -154,192 +154,54 @@ pub fn compile_structured_dnnf_traced(
     compile_structured_dnnf(automaton, tree)
 }
 
-/// Compiles the provenance of a deterministic automaton on an uncertain tree
-/// directly into a certified smooth d-SDNNF (see the module docs for the
-/// invariants and why they hold). Rejects nondeterministic automata and
-/// events shared between nodes; determinize / re-event first in those cases.
-#[allow(clippy::needless_range_loop)] // `q` is a state id, not just an index
-pub fn compile_structured_dnnf(
+/// Checks the two preconditions of the construction, in this order: the
+/// automaton is deterministic, and no event controls two nodes. Both
+/// compilers (this crate's and the fragment-parallel engine's) run exactly
+/// this check, so they fail on the same inputs with the same errors.
+pub fn check_compilable(
     automaton: &TreeAutomaton,
     tree: &UncertainTree,
-) -> Result<StructuredDnnf, StructuredDnnfError> {
+) -> Result<(), StructuredDnnfError> {
     if !automaton.is_deterministic() {
         return Err(StructuredDnnfError::NondeterministicAutomaton);
     }
     let mut seen_events: BTreeMap<usize, usize> = BTreeMap::new();
     for node in 0..tree.tree().node_count() {
-        if let NodeAnnotation::Event { event, .. } = tree.annotation(crate::tree::NodeId(node)) {
+        if let NodeAnnotation::Event { event, .. } = tree.annotation(NodeId(node)) {
             *seen_events.entry(event).or_insert(0) += 1;
         }
     }
-    if let Some((&event, _)) = seen_events.iter().find(|(_, &count)| count > 1) {
-        return Err(StructuredDnnfError::SharedEvent { event });
+    match seen_events.iter().find(|(_, &count)| count > 1) {
+        Some((&event, _)) => Err(StructuredDnnfError::SharedEvent { event }),
+        None => Ok(()),
     }
+}
 
+/// Compiles the provenance of a deterministic automaton on an uncertain tree
+/// directly into a certified smooth d-SDNNF (see the module docs for the
+/// invariants and why they hold). Rejects nondeterministic automata and
+/// events shared between nodes; determinize / re-event first in those cases.
+pub fn compile_structured_dnnf(
+    automaton: &TreeAutomaton,
+    tree: &UncertainTree,
+) -> Result<StructuredDnnf, StructuredDnnfError> {
+    check_compilable(automaton, tree)?;
     let mut circuit = Circuit::new();
-    let false_gate = circuit.constant(false);
-    let true_gate = circuit.constant(true);
-    let states = automaton.state_count();
-    let node_count = tree.tree().node_count();
-    // gates[node][q]: either the false constant, the true constant (only for
-    // event-free subtrees), or a gate whose scope is exactly the events of
-    // the node's subtree — the smoothness invariant.
-    let mut gates: Vec<Vec<GateId>> = vec![vec![false_gate; states]; node_count];
-    // Vtree subtree covering each tree node's events (`None` if event-free),
-    // assembled bottom-up alongside the gates.
+    circuit.constant(false);
+    circuit.constant(true);
     let mut vtree = Vtree::new();
-    let mut vnodes: Vec<Option<VtreeId>> = vec![None; node_count];
-
-    // Conjunction keeping the smoothness invariant: constants true drop out
-    // (they carry no scope), `None` means the whole conjunct is true.
-    let conjoin =
-        |parts: Vec<GateId>, circuit: &mut Circuit, true_gate: GateId| -> Option<GateId> {
-            let real: Vec<GateId> = parts.into_iter().filter(|&g| g != true_gate).collect();
-            match real.len() {
-                0 => None,
-                1 => Some(real[0]),
-                _ => Some(circuit.and(real)),
-            }
-        };
-
-    for node in tree.tree().post_order() {
-        let own_event = match tree.annotation(node) {
-            NodeAnnotation::Fixed => None,
-            NodeAnnotation::Event { event, .. } => Some(event),
-        };
-        match tree.tree().children(node) {
-            None => {
-                for q in 0..states {
-                    gates[node.0][q] = match tree.annotation(node) {
-                        NodeAnnotation::Fixed => {
-                            if automaton.leaf_states(tree.tree().label(node)).contains(&q) {
-                                true_gate
-                            } else {
-                                false_gate
-                            }
-                        }
-                        NodeAnnotation::Event {
-                            event,
-                            if_true,
-                            if_false,
-                        } => {
-                            let in_true = automaton.leaf_states(if_true).contains(&q);
-                            let in_false = automaton.leaf_states(if_false).contains(&q);
-                            match (in_true, in_false) {
-                                // Smoothness: the gate must mention the
-                                // event, so a both-labels state compiles to
-                                // the tautology e ∨ ¬e, not to true.
-                                (true, true) => {
-                                    let v = circuit.var(event);
-                                    let nv = circuit.not(v);
-                                    circuit.or(vec![v, nv])
-                                }
-                                (false, false) => false_gate,
-                                (true, false) => circuit.var(event),
-                                (false, true) => {
-                                    let v = circuit.var(event);
-                                    circuit.not(v)
-                                }
-                            }
-                        }
-                    };
-                }
-                vnodes[node.0] = own_event.map(|e| vtree.leaf(e));
-            }
-            Some((left, right)) => {
-                // Guarded label alternatives, as in `provenance_circuit`.
-                let alternatives: Vec<(usize, Option<GateId>)> = match tree.annotation(node) {
-                    NodeAnnotation::Fixed => vec![(tree.tree().label(node), None)],
-                    NodeAnnotation::Event {
-                        event,
-                        if_true,
-                        if_false,
-                    } => {
-                        let v = circuit.var(event);
-                        let not_v = circuit.not(v);
-                        vec![(if_true, Some(v)), (if_false, Some(not_v))]
-                    }
-                };
-                // Iterate only over *live* (non-false) child states and push
-                // each discovered run into its target state's disjunct list:
-                // cost per node is |live_l| · |live_r| · |alternatives|
-                // rather than |states|³, which is what keeps this linear on
-                // the lazily-materialized automata of the encoding pipeline
-                // (whose total state count far exceeds the per-node live
-                // count). Discovery order per target state is (alternative,
-                // left state, right state) lexicographic — identical to the
-                // dense triple loop this replaces.
-                let live_left: Vec<usize> = (0..states)
-                    .filter(|&q| gates[left.0][q] != false_gate)
-                    .collect();
-                let live_right: Vec<usize> = (0..states)
-                    .filter(|&q| gates[right.0][q] != false_gate)
-                    .collect();
-                let mut disjuncts: Vec<Vec<GateId>> = vec![Vec::new(); states];
-                for &(label, guard) in &alternatives {
-                    for &ql in &live_left {
-                        for &qr in &live_right {
-                            for &q in &automaton.internal_states(label, ql, qr) {
-                                let gl = gates[left.0][ql];
-                                let gr = gates[right.0][qr];
-                                // Nested binary shape guard ∧ (gl ∧ gr):
-                                // what the node's vtree split witnesses.
-                                let inner = conjoin(vec![gl, gr], &mut circuit, true_gate);
-                                let conj = match (guard, inner) {
-                                    (None, None) => true_gate,
-                                    (None, Some(g)) => g,
-                                    (Some(gv), None) => gv,
-                                    (Some(gv), Some(g)) => circuit.and(vec![gv, g]),
-                                };
-                                disjuncts[q].push(conj);
-                            }
-                        }
-                    }
-                }
-                for (q, disjuncts) in disjuncts.into_iter().enumerate() {
-                    gates[node.0][q] = match disjuncts.len() {
-                        0 => false_gate,
-                        1 => disjuncts[0],
-                        _ => circuit.or(disjuncts),
-                    };
-                }
-                // Vtree split for this node: own event against the combined
-                // children scopes (skipping event-free parts).
-                let children_v = match (vnodes[left.0], vnodes[right.0]) {
-                    (None, None) => None,
-                    (Some(l), None) => Some(l),
-                    (None, Some(r)) => Some(r),
-                    (Some(l), Some(r)) => Some(vtree.internal(l, r)),
-                };
-                vnodes[node.0] = match (own_event, children_v) {
-                    (None, v) => v,
-                    (Some(e), None) => Some(vtree.leaf(e)),
-                    (Some(e), Some(v)) => {
-                        let leaf = vtree.leaf(e);
-                        Some(vtree.internal(leaf, v))
-                    }
-                };
-            }
-        }
-    }
-
-    let root = tree.tree().root();
-    let accepting: Vec<GateId> = automaton
-        .accepting_states()
-        .iter()
-        .map(|&q| gates[root.0][q])
-        .filter(|&g| g != false_gate)
-        .collect();
-    let output = match accepting.len() {
-        0 => false_gate,
-        1 => accepting[0],
-        _ => circuit.or(accepting),
-    };
+    let root = compile_subtree(
+        automaton,
+        tree,
+        tree.tree().root(),
+        &mut circuit,
+        &mut vtree,
+    );
+    let output = root.output(automaton, &mut circuit);
     circuit.set_output(output);
-    if let Some(v) = vnodes[root.0] {
+    if let Some(v) = root.vnode {
         vtree.set_root(v);
     }
-
     let dnnf = Dnnf::from_trusted_circuit(circuit)
         .expect("the structured construction is decomposable by construction");
     Ok(StructuredDnnf {
@@ -349,12 +211,236 @@ pub fn compile_structured_dnnf(
     })
 }
 
+/// The constant gates every arena of the construction holds at fixed ids.
+const FALSE: GateId = GateId(0);
+const TRUE: GateId = GateId(1);
+
+/// What the construction knows about one compiled tree node: the gate of
+/// each of its *live* states, and the vtree node covering its subtree's
+/// events.
+///
+/// A state is live at a node when some valuation of the subtree's events
+/// gives the node that state. Only live states get a gate; an absent state
+/// stands for the constant false. A node's live states are a tiny subset
+/// of the automaton's states (which, for the lazily materialized machines
+/// of the encoding pipeline, number every state the machine has ever
+/// interned), so each per-node step costs the product of its children's
+/// live-state counts and never the automaton's size.
+///
+/// The gates refer to an arena that holds the constants false and true at
+/// ids 0 and 1, as every circuit of this construction does.
+#[derive(Clone, Debug)]
+pub struct NodeGates {
+    /// `(state, gate)` per live state, sorted by state. No gate is the
+    /// constant false; a gate is the constant true only in an event-free
+    /// subtree. Every other gate mentions exactly the subtree's events
+    /// (the smoothness invariant).
+    pub live: Vec<(State, GateId)>,
+    /// The vtree node covering the subtree's events (`None` if the subtree
+    /// has none).
+    pub vnode: Option<VtreeId>,
+}
+
+impl NodeGates {
+    /// Compiles a leaf: one gate per state the leaf's label (or either of
+    /// its event's labels) leads to, in increasing state order.
+    pub fn leaf(
+        automaton: &TreeAutomaton,
+        tree: &UncertainTree,
+        node: NodeId,
+        circuit: &mut Circuit,
+        vtree: &mut Vtree,
+    ) -> NodeGates {
+        match tree.annotation(node) {
+            NodeAnnotation::Fixed => NodeGates {
+                live: automaton
+                    .leaf_states(tree.tree().label(node))
+                    .iter()
+                    .map(|&q| (q, TRUE))
+                    .collect(),
+                vnode: None,
+            },
+            NodeAnnotation::Event {
+                event,
+                if_true,
+                if_false,
+            } => {
+                let on_true = automaton.leaf_states(if_true);
+                let on_false = automaton.leaf_states(if_false);
+                let live = on_true
+                    .union(on_false)
+                    .map(|&q| {
+                        let gate = match (on_true.contains(&q), on_false.contains(&q)) {
+                            // Smoothness: the gate must mention the event, so
+                            // a both-labels state compiles to the tautology
+                            // e ∨ ¬e, not to true.
+                            (true, true) => {
+                                let v = circuit.var(event);
+                                let nv = circuit.not(v);
+                                circuit.or(vec![v, nv])
+                            }
+                            (true, false) => circuit.var(event),
+                            _ => {
+                                let v = circuit.var(event);
+                                circuit.not(v)
+                            }
+                        };
+                        (q, gate)
+                    })
+                    .collect();
+                NodeGates {
+                    live,
+                    vnode: Some(vtree.leaf(event)),
+                }
+            }
+        }
+    }
+
+    /// Compiles an internal node from its children's gates. Every run
+    /// `(alternative, left state, right state)` found over the live child
+    /// states, in that lexicographic order, becomes a conjunction guard ∧
+    /// (left ∧ right); each target state then gets the OR of its
+    /// conjunctions, ORs emitted in increasing state order. The gate stream
+    /// is thereby a function of the live states alone.
+    pub fn internal(
+        automaton: &TreeAutomaton,
+        tree: &UncertainTree,
+        node: NodeId,
+        left: &NodeGates,
+        right: &NodeGates,
+        circuit: &mut Circuit,
+        vtree: &mut Vtree,
+    ) -> NodeGates {
+        // Guarded label alternatives, as in `provenance_circuit`.
+        let (own_event, alternatives): (Option<usize>, Vec<(usize, Option<GateId>)>) =
+            match tree.annotation(node) {
+                NodeAnnotation::Fixed => (None, vec![(tree.tree().label(node), None)]),
+                NodeAnnotation::Event {
+                    event,
+                    if_true,
+                    if_false,
+                } => {
+                    let v = circuit.var(event);
+                    let not_v = circuit.not(v);
+                    (
+                        Some(event),
+                        vec![(if_true, Some(v)), (if_false, Some(not_v))],
+                    )
+                }
+            };
+        // (target state, conjunction) in discovery order.
+        let mut runs: Vec<(State, GateId)> = Vec::new();
+        for &(label, guard) in &alternatives {
+            for &(ql, gl) in &left.live {
+                for &(qr, gr) in &right.live {
+                    for &q in automaton.internal_states(label, ql, qr) {
+                        // Nested binary shape guard ∧ (gl ∧ gr): what the
+                        // node's vtree split witnesses. True constants
+                        // carry no scope and drop out.
+                        let inner = match (gl == TRUE, gr == TRUE) {
+                            (true, true) => None,
+                            (false, true) => Some(gl),
+                            (true, false) => Some(gr),
+                            (false, false) => Some(circuit.and(vec![gl, gr])),
+                        };
+                        let conj = match (guard, inner) {
+                            (None, None) => TRUE,
+                            (None, Some(g)) => g,
+                            (Some(gv), None) => gv,
+                            (Some(gv), Some(g)) => circuit.and(vec![gv, g]),
+                        };
+                        runs.push((q, conj));
+                    }
+                }
+            }
+        }
+        // A stable sort groups each state's conjunctions, keeping their
+        // discovery order.
+        runs.sort_by_key(|&(q, _)| q);
+        let mut live = Vec::new();
+        for group in runs.chunk_by(|a, b| a.0 == b.0) {
+            let gate = match group {
+                [(_, only)] => *only,
+                _ => circuit.or(group.iter().map(|&(_, g)| g).collect()),
+            };
+            live.push((group[0].0, gate));
+        }
+        // Vtree split for this node: own event against the combined
+        // children scopes (skipping event-free parts).
+        let children_v = match (left.vnode, right.vnode) {
+            (None, None) => None,
+            (Some(l), None) => Some(l),
+            (None, Some(r)) => Some(r),
+            (Some(l), Some(r)) => Some(vtree.internal(l, r)),
+        };
+        let vnode = match (own_event, children_v) {
+            (None, v) => v,
+            (Some(e), None) => Some(vtree.leaf(e)),
+            (Some(e), Some(v)) => {
+                let leaf = vtree.leaf(e);
+                Some(vtree.internal(leaf, v))
+            }
+        };
+        NodeGates { live, vnode }
+    }
+
+    /// The output gate when this node is the root: the OR of its accepting
+    /// live states' gates (false if there is none, the gate itself if
+    /// there is one).
+    pub fn output(&self, automaton: &TreeAutomaton, circuit: &mut Circuit) -> GateId {
+        let accepting: Vec<GateId> = self
+            .live
+            .iter()
+            .filter(|(q, _)| automaton.accepting_states().contains(q))
+            .map(|&(_, g)| g)
+            .collect();
+        match accepting[..] {
+            [] => FALSE,
+            [only] => only,
+            _ => circuit.or(accepting),
+        }
+    }
+}
+
+/// Compiles the subtree rooted at `root` into `circuit` and `vtree` (which
+/// must hold the constants false and true at ids 0 and 1), in post-order,
+/// and returns the root's [`NodeGates`]. A subtree's nodes are a contiguous
+/// segment of the whole tree's post-order, so compiling a subtree into a
+/// fresh arena produces the gates the whole-tree construction allocates
+/// for it, shifted by one offset; the fragment-parallel engine relies on
+/// this.
+pub fn compile_subtree(
+    automaton: &TreeAutomaton,
+    tree: &UncertainTree,
+    root: NodeId,
+    circuit: &mut Circuit,
+    vtree: &mut Vtree,
+) -> NodeGates {
+    debug_assert_eq!(circuit.gate(FALSE), &Gate::Const(false));
+    debug_assert_eq!(circuit.gate(TRUE), &Gate::Const(true));
+    // In post-order, an internal node's children are the top two pending
+    // entries, the right one on top.
+    let mut pending: Vec<NodeGates> = Vec::new();
+    for node in tree.tree().post_order_from(root) {
+        let gates = if tree.tree().is_leaf(node) {
+            NodeGates::leaf(automaton, tree, node, circuit, vtree)
+        } else {
+            let right = pending.pop().expect("post-order: right child first");
+            let left = pending.pop().expect("post-order: left child first");
+            NodeGates::internal(automaton, tree, node, &left, &right, circuit, vtree)
+        };
+        pending.push(gates);
+    }
+    debug_assert_eq!(pending.len(), 1);
+    pending.pop().expect("the root is processed last")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::automaton::{exists_one_automaton, parity_automaton};
     use crate::provenance::acceptance_probability_bruteforce;
-    use crate::tree::{BinaryTree, NodeId};
+    use crate::tree::BinaryTree;
     use std::collections::BTreeSet;
 
     fn uncertain_leaves(n: usize) -> UncertainTree {

@@ -232,6 +232,9 @@ struct Compiler {
     /// set.
     states: Vec<Vec<Config>>,
     index: BTreeMap<Vec<Config>, usize>,
+    /// The accepting states among `states`, in increasing order; each
+    /// state's flag is decided once, when it is interned.
+    accepting: Vec<usize>,
 }
 
 impl Compiler {
@@ -257,6 +260,7 @@ impl Compiler {
             budget: options.state_budget,
             states: Vec::new(),
             index: BTreeMap::new(),
+            accepting: Vec::new(),
         };
         // State 0: the unit state (empty configuration per disjunct), the
         // value of every `Empty` leaf and padding node.
@@ -284,6 +288,9 @@ impl Compiler {
             });
         }
         let i = self.states.len();
+        if self.is_accepting(&state) {
+            self.accepting.push(i);
+        }
         self.index.insert(state.clone(), i);
         self.states.push(state);
         Ok(i)
@@ -413,8 +420,10 @@ impl Compiler {
         self.reduce(out)
     }
 
-    fn is_accepting(&self, state: usize) -> bool {
-        self.states[state]
+    /// Whether some configuration of the state has matched its whole
+    /// disjunct.
+    fn is_accepting(&self, state: &[Config]) -> bool {
+        state
             .iter()
             .any(|c| c.matched == self.disjuncts[c.disjunct as usize].full)
     }
@@ -467,12 +476,21 @@ impl CompiledQuery {
         left: usize,
         right: usize,
     ) -> Result<Option<usize>, CompileError> {
+        // The memo first: decoding a fact label allocates its slot tuple,
+        // and on a warm machine nearly every transition is a hit.
+        let hit = if label == self.alphabet.join() {
+            self.join.get(&(left, right))
+        } else if right == 0 {
+            self.unary.get(&(label, left))
+        } else {
+            None
+        };
+        if let Some(&t) = hit {
+            return Ok(Some(t));
+        }
         match self.alphabet.kind(label) {
             LabelKind::Empty => Ok(None),
             LabelKind::Join => {
-                if let Some(&t) = self.join.get(&(left, right)) {
-                    return Ok(Some(t));
-                }
                 let target = self.compiler.apply_join(left, right);
                 let target = self.compiler.intern(target)?;
                 self.join.insert((left, right), target);
@@ -483,9 +501,6 @@ impl CompiledQuery {
                 // left and an `Empty` padding leaf (state 0) on the right.
                 if right != 0 {
                     return Ok(None);
-                }
-                if let Some(&t) = self.unary.get(&(label, left)) {
-                    return Ok(Some(t));
                 }
                 let target = match kind {
                     // Introducing a fresh element changes no configuration.
@@ -530,44 +545,46 @@ impl CompiledQuery {
         let structure = tree.tree();
         let mut reach: Vec<Vec<usize>> = vec![Vec::new(); structure.node_count()];
         for node in structure.post_order() {
-            let alternatives: Vec<Label> = match tree.annotation(node) {
-                NodeAnnotation::Fixed => vec![structure.label(node)],
+            let alternatives = match tree.annotation(node) {
+                NodeAnnotation::Fixed => [structure.label(node); 2],
                 NodeAnnotation::Event {
                     if_true, if_false, ..
-                } => {
-                    if if_true == if_false {
-                        vec![if_true]
-                    } else {
-                        vec![if_true, if_false]
-                    }
-                }
+                } => [if_true, if_false],
             };
-            let mut states = BTreeSet::new();
+            let alternatives = if alternatives[0] == alternatives[1] {
+                &alternatives[..1]
+            } else {
+                &alternatives[..]
+            };
+            let mut states = Vec::new();
             match structure.children(node) {
                 None => {
                     // Leaves of well-formed encodings are `Empty` padding,
                     // evaluating to the unit state 0.
-                    for label in alternatives {
-                        if matches!(self.alphabet.kind(label), LabelKind::Empty) {
-                            states.insert(0);
-                        }
+                    if alternatives
+                        .iter()
+                        .any(|&label| matches!(self.alphabet.kind(label), LabelKind::Empty))
+                    {
+                        states.push(0);
                     }
                 }
                 Some((l, r)) => {
                     let lefts = std::mem::take(&mut reach[l.0]);
                     let rights = std::mem::take(&mut reach[r.0]);
-                    for &label in &alternatives {
+                    for &label in alternatives {
                         for &a in &lefts {
                             for &b in &rights {
                                 if let Some(t) = self.delta(label, a, b)? {
-                                    states.insert(t);
+                                    states.push(t);
                                 }
                             }
                         }
                     }
+                    states.sort_unstable();
+                    states.dedup();
                 }
             }
-            reach[node.0] = states.into_iter().collect();
+            reach[node.0] = states;
         }
 
         let mut automaton = TreeAutomaton::new(self.compiler.states.len(), self.alphabet.size());
@@ -579,10 +596,8 @@ impl CompiledQuery {
         for (&(a, b), &target) in &self.join {
             automaton.add_internal_transition(join_label, a, b, target);
         }
-        for state in 0..self.compiler.states.len() {
-            if self.compiler.is_accepting(state) {
-                automaton.add_accepting(state);
-            }
+        for &state in &self.compiler.accepting {
+            automaton.add_accepting(state);
         }
         debug_assert!(automaton.is_deterministic());
         self.telemetry

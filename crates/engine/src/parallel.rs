@@ -22,8 +22,13 @@
 //! gate stream *byte for byte* — same gates, same ids, same operand order,
 //! same output — at every thread count, with no iteration-order leakage
 //! (worker completion order never influences ids; only the tree shape
-//! does). `tests` and the umbrella `tests/parallel_differential.rs` pin
-//! this gate-by-gate against [`treelineage_automata::compile_structured_dnnf`].
+//! does). Workers and the merge spine run the sequential compiler's own
+//! per-node steps ([`compile_subtree`], [`NodeGates::internal`]), so the
+//! construction has one definition; this module adds only the cut, the
+//! replay and the merge. `tests` and the umbrella
+//! `tests/parallel_differential.rs` pin the result gate-by-gate against
+//! [`treelineage_automata::compile_structured_dnnf`], and
+//! `tests/compile_golden.rs` pins both against recorded gate streams.
 //!
 //! The evaluation passes reuse the same partition: each fragment's gate
 //! range is self-contained, so workers evaluate ranges concurrently and the
@@ -48,11 +53,10 @@
 
 use crate::pool::run_tasks;
 use crate::EngineConfig;
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use treelineage_automata::{
-    compile_structured_dnnf_traced, BinaryTree, NodeAnnotation, NodeId, State, StructuredDnnf,
-    StructuredDnnfError, TreeAutomaton, UncertainTree,
+    check_compilable, compile_structured_dnnf_traced, compile_subtree, BinaryTree, NodeAnnotation,
+    NodeGates, NodeId, State, StructuredDnnf, StructuredDnnfError, TreeAutomaton, UncertainTree,
 };
 use treelineage_circuit::{
     Circuit, Dnnf, Gate, GateId, ScaledWeights, VarId, Vtree, VtreeId, VtreeNode,
@@ -303,10 +307,8 @@ impl ParallelDnnf {
 struct Fragment {
     circuit: Circuit,
     vtree: Vtree,
-    /// Per automaton state, the (local) gate of the fragment root.
-    root_gates: Vec<GateId>,
-    /// The (local) vtree node covering the fragment root's events, if any.
-    root_vnode: Option<VtreeId>,
+    /// The fragment root's live-state gates and vtree node (local ids).
+    root: NodeGates,
 }
 
 /// The full post-order content of a fragment subtree — `(label, is-leaf,
@@ -346,8 +348,7 @@ fn fragment_key(tree: &UncertainTree, root: NodeId) -> FragmentKey {
 /// and the deterministic merge replays as usual. Validity is the caller's
 /// contract: a library may only be replayed against the *same* compiled
 /// query machine that produced it (state numbering is machine-history
-/// dependent), with an automaton whose state count has only grown — the
-/// session layer guards both.
+/// dependent) — the session layer guards this.
 #[derive(Clone, Default)]
 pub(crate) struct FragmentLibrary {
     fragments: HashMap<FragmentKey, std::sync::Arc<Fragment>>,
@@ -419,7 +420,7 @@ pub(crate) fn compile_with_pool(
 /// gates, ids, operand order, vtree) — reuse changes which thread produces
 /// a block of gates, never the gates. Preconditions on `previous` (enforced
 /// by the session layer): it was produced by this function against the same
-/// compiled query machine, whose state count can only have grown since.
+/// compiled query machine.
 pub(crate) fn compile_with_pool_cached(
     automaton: &TreeAutomaton,
     tree: &UncertainTree,
@@ -440,23 +441,9 @@ pub(crate) fn compile_with_pool_cached(
             })
         }
     };
-    // Same validation, in the same order, as the sequential compiler: the
-    // parallel path must fail on exactly the inputs (and with exactly the
-    // errors) the sequential path fails on.
-    if !automaton.is_deterministic() {
-        return Err(StructuredDnnfError::NondeterministicAutomaton);
-    }
-    let mut seen_events: BTreeMap<usize, usize> = BTreeMap::new();
-    for node in 0..tree.tree().node_count() {
-        if let NodeAnnotation::Event { event, .. } = tree.annotation(NodeId(node)) {
-            *seen_events.entry(event).or_insert(0) += 1;
-        }
-    }
-    if let Some((&event, _)) = seen_events.iter().find(|(_, &count)| count > 1) {
-        return Err(StructuredDnnfError::SharedEvent { event });
-    }
-
-    let states = automaton.state_count();
+    // The sequential compiler's validation: the parallel path must fail on
+    // exactly the inputs (and with exactly the errors) it fails on.
+    check_compilable(automaton, tree)?;
 
     // Phase 1: fragments, in parallel — but first settle, per cut, whether
     // the library already holds this subtree's compile. The key is the full
@@ -491,7 +478,7 @@ pub(crate) fn compile_with_pool_cached(
             // via the caller's span stack. Either way: one connected trace.
             let mut fragment_span = telemetry.span("dsdnnf_fragment");
             fragment_span.label("fragment", dirty[j]);
-            compile_fragment(automaton, tree, plan.cuts[dirty[j]], states)
+            compile_fragment(automaton, tree, plan.cuts[dirty[j]])
         })
     };
     let mut compiled = compiled.into_iter();
@@ -510,16 +497,15 @@ pub(crate) fn compile_with_pool_cached(
     // each fragment at its root's position, run spine nodes inline.
     let _merge_span = telemetry.span("dsdnnf_merge");
     let mut circuit = Circuit::new();
-    let false_gate = circuit.constant(false);
-    // The true constant must exist at id 1 (the helper and the fragment
-    // replay both rely on the 0/1 constant convention).
-    let _true_gate = circuit.constant(true);
+    // The constants at ids 0 and 1, as in every arena of the construction
+    // (the fragment replay maps its local constants onto these).
+    circuit.constant(false);
+    circuit.constant(true);
     let mut vtree = Vtree::new();
     let mut partition = CircuitPartition::default();
-    // Gate vector / vtree node per *pending* node (fragment roots and spine
+    // Live-state gates of the *pending* nodes (fragment roots and spine
     // nodes whose parent has not been processed yet).
-    let mut gates: HashMap<usize, Vec<GateId>> = HashMap::new();
-    let mut vnodes: HashMap<usize, Option<VtreeId>> = HashMap::new();
+    let mut pending: HashMap<usize, NodeGates> = HashMap::new();
 
     for node in tree.tree().post_order() {
         match plan.owner[node.0] {
@@ -533,25 +519,14 @@ pub(crate) fn compile_with_pool_cached(
                 partition.fragments.push((gate_offset, circuit.size()));
                 let vtree_offset = vtree.node_count();
                 replay_vtree(&mut vtree, &fragment.vtree);
-                let map = |g: GateId| {
-                    if g.0 < 2 {
-                        GateId(g.0) // the two constants are global
-                    } else {
-                        GateId(gate_offset + g.0 - 2)
-                    }
-                };
-                // A library fragment may predate states the automaton has
-                // interned since; those are unreachable in its (unchanged)
-                // subtree, so pad its root gates with `false`.
-                debug_assert!(fragment.root_gates.len() <= states);
-                let mut root_gates: Vec<GateId> =
-                    fragment.root_gates.iter().map(|&g| map(g)).collect();
-                root_gates.resize(states, false_gate);
-                gates.insert(node.0, root_gates);
-                vnodes.insert(
-                    node.0,
-                    fragment.root_vnode.map(|v| VtreeId(vtree_offset + v.0)),
-                );
+                let root = &fragment.root;
+                let live = root
+                    .live
+                    .iter()
+                    .map(|&(q, g)| (q, shift_gate(g, gate_offset)))
+                    .collect();
+                let vnode = root.vnode.map(|v| VtreeId(vtree_offset + v.0));
+                pending.insert(node.0, NodeGates { live, vnode });
             }
             None => {
                 // Spine node: both children are pending (fragment roots or
@@ -561,43 +536,26 @@ pub(crate) fn compile_with_pool_cached(
                     .tree()
                     .children(node)
                     .expect("spine nodes are larger than any fragment, hence internal");
-                let left_gates = gates.remove(&left.0).expect("post-order: child first");
-                let right_gates = gates.remove(&right.0).expect("post-order: child first");
-                let left_v = vnodes.remove(&left.0).expect("post-order: child first");
-                let right_v = vnodes.remove(&right.0).expect("post-order: child first");
-                let (node_gates, own_v) = internal_node_step(
+                let left = pending.remove(&left.0).expect("post-order: child first");
+                let right = pending.remove(&right.0).expect("post-order: child first");
+                let gates = NodeGates::internal(
                     automaton,
                     tree,
                     node,
-                    states,
-                    &left_gates,
-                    &right_gates,
-                    left_v,
-                    right_v,
+                    &left,
+                    &right,
                     &mut circuit,
                     &mut vtree,
                 );
-                gates.insert(node.0, node_gates);
-                vnodes.insert(node.0, own_v);
+                pending.insert(node.0, gates);
             }
         }
     }
 
-    let root = tree.tree().root();
-    let root_gates = &gates[&root.0];
-    let accepting: Vec<GateId> = automaton
-        .accepting_states()
-        .iter()
-        .map(|&q| root_gates[q])
-        .filter(|&g| g != false_gate)
-        .collect();
-    let output = match accepting.len() {
-        0 => false_gate,
-        1 => accepting[0],
-        _ => circuit.or(accepting),
-    };
+    let root = &pending[&tree.tree().root().0];
+    let output = root.output(automaton, &mut circuit);
     circuit.set_output(output);
-    if let Some(v) = vnodes[&root.0] {
+    if let Some(v) = root.vnode {
         vtree.set_root(v);
     }
     let dnnf = Dnnf::from_trusted_circuit(circuit)
@@ -613,194 +571,32 @@ pub(crate) fn compile_with_pool_cached(
     })
 }
 
-/// Compiles one subtree exactly as the sequential compiler would: same
-/// per-node logic, same allocation order, over the subtree's post-order.
-/// Constants occupy local gate ids 0 (false) and 1 (true) and are the only
-/// out-of-block references a fragment may make.
-fn compile_fragment(
-    automaton: &TreeAutomaton,
-    tree: &UncertainTree,
-    root: NodeId,
-    states: usize,
-) -> Fragment {
+/// Compiles one subtree exactly as the sequential compiler would
+/// ([`compile_subtree`], the same per-node steps in the same order) into a
+/// fresh arena. Constants occupy local gate ids 0 (false) and 1 (true) and
+/// are the only out-of-block references a fragment may make.
+fn compile_fragment(automaton: &TreeAutomaton, tree: &UncertainTree, root: NodeId) -> Fragment {
     let mut circuit = Circuit::new();
-    let false_gate = circuit.constant(false);
-    let true_gate = circuit.constant(true);
+    circuit.constant(false);
+    circuit.constant(true);
     let mut vtree = Vtree::new();
-    let mut gates: HashMap<usize, Vec<GateId>> = HashMap::new();
-    let mut vnodes: HashMap<usize, Option<VtreeId>> = HashMap::new();
-
-    for node in tree.tree().post_order_from(root) {
-        let own_event = match tree.annotation(node) {
-            NodeAnnotation::Fixed => None,
-            NodeAnnotation::Event { event, .. } => Some(event),
-        };
-        match tree.tree().children(node) {
-            None => {
-                let mut node_gates = vec![false_gate; states];
-                for (q, gate) in node_gates.iter_mut().enumerate() {
-                    *gate = match tree.annotation(node) {
-                        NodeAnnotation::Fixed => {
-                            if automaton.leaf_states(tree.tree().label(node)).contains(&q) {
-                                true_gate
-                            } else {
-                                false_gate
-                            }
-                        }
-                        NodeAnnotation::Event {
-                            event,
-                            if_true,
-                            if_false,
-                        } => {
-                            let in_true = automaton.leaf_states(if_true).contains(&q);
-                            let in_false = automaton.leaf_states(if_false).contains(&q);
-                            match (in_true, in_false) {
-                                (true, true) => {
-                                    let v = circuit.var(event);
-                                    let nv = circuit.not(v);
-                                    circuit.or(vec![v, nv])
-                                }
-                                (false, false) => false_gate,
-                                (true, false) => circuit.var(event),
-                                (false, true) => {
-                                    let v = circuit.var(event);
-                                    circuit.not(v)
-                                }
-                            }
-                        }
-                    };
-                }
-                gates.insert(node.0, node_gates);
-                vnodes.insert(node.0, own_event.map(|e| vtree.leaf(e)));
-            }
-            Some((left, right)) => {
-                let left_gates = gates.remove(&left.0).expect("post-order: child first");
-                let right_gates = gates.remove(&right.0).expect("post-order: child first");
-                let left_v = vnodes.remove(&left.0).expect("post-order: child first");
-                let right_v = vnodes.remove(&right.0).expect("post-order: child first");
-                let (node_gates, own_v) = internal_node_step(
-                    automaton,
-                    tree,
-                    node,
-                    states,
-                    &left_gates,
-                    &right_gates,
-                    left_v,
-                    right_v,
-                    &mut circuit,
-                    &mut vtree,
-                );
-                gates.insert(node.0, node_gates);
-                vnodes.insert(node.0, own_v);
-            }
-        }
-    }
+    let root = compile_subtree(automaton, tree, root, &mut circuit, &mut vtree);
     Fragment {
-        root_gates: gates.remove(&root.0).expect("root was processed last"),
-        root_vnode: vnodes.remove(&root.0).expect("root was processed last"),
         circuit,
         vtree,
+        root,
     }
 }
 
-/// The sequential compiler's *internal-node* step against the given arenas
-/// (which must hold the constants at ids 0 = false and 1 = true, as both
-/// the merged circuit and every fragment do): builds the per-state gates
-/// of `node` from its children's gate vectors and combines the children's
-/// vtree scopes with the node's own event. One definition shared by the
-/// fragment workers and the merge spine, so the two can never drift apart
-/// — a change here changes both, and the differential suites pin the pair
-/// against [`compile_structured_dnnf`] itself.
-#[allow(clippy::too_many_arguments)] // mirrors the sequential compiler's full per-node state
-fn internal_node_step(
-    automaton: &TreeAutomaton,
-    tree: &UncertainTree,
-    node: NodeId,
-    states: usize,
-    left_gates: &[GateId],
-    right_gates: &[GateId],
-    left_v: Option<VtreeId>,
-    right_v: Option<VtreeId>,
-    circuit: &mut Circuit,
-    vtree: &mut Vtree,
-) -> (Vec<GateId>, Option<VtreeId>) {
-    let false_gate = GateId(0);
-    let true_gate = GateId(1);
-    debug_assert_eq!(circuit.gate(false_gate), &Gate::Const(false));
-    debug_assert_eq!(circuit.gate(true_gate), &Gate::Const(true));
-    let conjoin =
-        |parts: Vec<GateId>, circuit: &mut Circuit, true_gate: GateId| -> Option<GateId> {
-            let real: Vec<GateId> = parts.into_iter().filter(|&g| g != true_gate).collect();
-            match real.len() {
-                0 => None,
-                1 => Some(real[0]),
-                _ => Some(circuit.and(real)),
-            }
-        };
-    let (own_event, alternatives): (Option<usize>, Vec<(usize, Option<GateId>)>) =
-        match tree.annotation(node) {
-            NodeAnnotation::Fixed => (None, vec![(tree.tree().label(node), None)]),
-            NodeAnnotation::Event {
-                event,
-                if_true,
-                if_false,
-            } => {
-                let v = circuit.var(event);
-                let not_v = circuit.not(v);
-                (
-                    Some(event),
-                    vec![(if_true, Some(v)), (if_false, Some(not_v))],
-                )
-            }
-        };
-    let live_left: Vec<usize> = (0..states)
-        .filter(|&q| left_gates[q] != false_gate)
-        .collect();
-    let live_right: Vec<usize> = (0..states)
-        .filter(|&q| right_gates[q] != false_gate)
-        .collect();
-    let mut disjuncts: Vec<Vec<GateId>> = vec![Vec::new(); states];
-    for &(label, guard) in &alternatives {
-        for &ql in &live_left {
-            for &qr in &live_right {
-                for &q in &automaton.internal_states(label, ql, qr) {
-                    let gl = left_gates[ql];
-                    let gr = right_gates[qr];
-                    let inner = conjoin(vec![gl, gr], circuit, true_gate);
-                    let conj = match (guard, inner) {
-                        (None, None) => true_gate,
-                        (None, Some(g)) => g,
-                        (Some(gv), None) => gv,
-                        (Some(gv), Some(g)) => circuit.and(vec![gv, g]),
-                    };
-                    disjuncts[q].push(conj);
-                }
-            }
-        }
+/// Where a fragment's local gate lands in the global circuit when its
+/// block is replayed at `offset`: the two constants are global, and every
+/// other gate shifts by `offset - 2`.
+fn shift_gate(g: GateId, offset: usize) -> GateId {
+    if g.0 < 2 {
+        g
+    } else {
+        GateId(offset + g.0 - 2)
     }
-    let mut node_gates = vec![false_gate; states];
-    for (q, disjuncts) in disjuncts.into_iter().enumerate() {
-        node_gates[q] = match disjuncts.len() {
-            0 => false_gate,
-            1 => disjuncts[0],
-            _ => circuit.or(disjuncts),
-        };
-    }
-    let children_v = match (left_v, right_v) {
-        (None, None) => None,
-        (Some(l), None) => Some(l),
-        (None, Some(r)) => Some(r),
-        (Some(l), Some(r)) => Some(vtree.internal(l, r)),
-    };
-    let own_v = match (own_event, children_v) {
-        (None, v) => v,
-        (Some(e), None) => Some(vtree.leaf(e)),
-        (Some(e), Some(v)) => {
-            let leaf = vtree.leaf(e);
-            Some(vtree.internal(leaf, v))
-        }
-    };
-    (node_gates, own_v)
 }
 
 /// Replays a fragment's gates (skipping its two local constants) into the
@@ -809,13 +605,7 @@ fn internal_node_step(
 /// sequential construction would have put it.
 fn replay_circuit(global: &mut Circuit, fragment: &Circuit) {
     let offset = global.size();
-    let map = |g: GateId| {
-        if g.0 < 2 {
-            GateId(g.0)
-        } else {
-            GateId(offset + g.0 - 2)
-        }
-    };
+    let map = |g: GateId| shift_gate(g, offset);
     for id in 2..fragment.size() {
         let new_id = match fragment.gate(GateId(id)) {
             // Fragment events are globally unique, so `var` always

@@ -456,8 +456,16 @@ pub struct StageTiming {
     pub name: &'static str,
     /// How many spans of that name the request opened.
     pub count: u64,
-    /// Total duration across those spans.
+    /// Total duration across those spans. A span nested in another stage's
+    /// span counts in both stages' totals (`dsdnnf_fragment` inside
+    /// `dsdnnf_fragments`, `eval_fragment` inside `eval_exact`), so totals
+    /// overlap.
     pub total_ns: u64,
+    /// Self time across those spans: each span's duration minus the
+    /// durations of its direct children (floored at 0 where children ran
+    /// concurrently on several threads). Unlike totals, self times count
+    /// no nested span twice.
+    pub self_ns: u64,
 }
 
 /// A structured per-request report from [`EvalSession::explain`]: which
@@ -505,6 +513,9 @@ pub struct ExplainReport {
     /// End-to-end duration of the request span (0 when telemetry is
     /// disabled).
     pub total_ns: u64,
+    /// The request span's self time: the part of `total_ns` that no stage
+    /// span covers (0 when telemetry is disabled).
+    pub unattributed_ns: u64,
     /// Per-stage durations aggregated from the request's spans, sorted by
     /// stage name. Empty when telemetry is disabled.
     pub stages: Vec<StageTiming>,
@@ -564,6 +575,7 @@ impl ExplainReport {
             out.push_str(&format!(",\"trace\":{trace}"));
         }
         out.push_str(&format!(",\"total_ns\":{}", self.total_ns));
+        out.push_str(&format!(",\"unattributed_ns\":{}", self.unattributed_ns));
         out.push_str(",\"stages\":[");
         for (i, stage) in self.stages.iter().enumerate() {
             if i > 0 {
@@ -572,8 +584,8 @@ impl ExplainReport {
             out.push_str("{\"name\":");
             push_escaped(&mut out, stage.name);
             out.push_str(&format!(
-                ",\"count\":{},\"total_ns\":{}}}",
-                stage.count, stage.total_ns
+                ",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
+                stage.count, stage.total_ns, stage.self_ns
             ));
         }
         out.push_str("]}");
@@ -1875,29 +1887,39 @@ impl EvalSession {
             Some(t) => self.config.telemetry.events_for_trace(t),
             None => Vec::new(),
         };
-        let total_ns = events
+        let mut children_ns: BTreeMap<u64, u64> = BTreeMap::new();
+        for event in &events {
+            if let Some(parent) = event.parent {
+                *children_ns.entry(parent).or_insert(0) += event.duration_ns;
+            }
+        }
+        let self_ns = |event: &SpanEvent| {
+            event
+                .duration_ns
+                .saturating_sub(children_ns.get(&event.id).copied().unwrap_or(0))
+        };
+        let request = events
             .iter()
             .filter(|e| e.name == "request")
-            .map(|e| e.duration_ns)
-            .max()
-            .unwrap_or(0);
-        let mut by_stage: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+            .max_by_key(|e| e.duration_ns);
+        let total_ns = request.map_or(0, |e| e.duration_ns);
+        let unattributed_ns = request.map_or(0, self_ns);
+        let mut by_stage: BTreeMap<&'static str, StageTiming> = BTreeMap::new();
         for event in &events {
             if event.name == "request" {
                 continue;
             }
-            let slot = by_stage.entry(event.name).or_insert((0, 0));
-            slot.0 += 1;
-            slot.1 += event.duration_ns;
+            let stage = by_stage.entry(event.name).or_insert(StageTiming {
+                name: event.name,
+                count: 0,
+                total_ns: 0,
+                self_ns: 0,
+            });
+            stage.count += 1;
+            stage.total_ns += event.duration_ns;
+            stage.self_ns += self_ns(event);
         }
-        let stages = by_stage
-            .into_iter()
-            .map(|(name, (count, total_ns))| StageTiming {
-                name,
-                count,
-                total_ns,
-            })
-            .collect();
+        let stages = by_stage.into_values().collect();
         Ok(ExplainReport {
             backend: self.backend.as_str(),
             tier,
@@ -1913,6 +1935,7 @@ impl EvalSession {
             dd_nodes: artifact.dd_nodes,
             trace,
             total_ns,
+            unattributed_ns,
             stages,
         })
     }
@@ -2737,6 +2760,29 @@ mod tests {
     }
 
     #[test]
+    fn explain_self_times_partition_the_request() {
+        // One thread: every span nests on the caller's stack, so the self
+        // times of the stages and the request's unattributed rest add up
+        // to the request's duration exactly.
+        let (session, request) = traced_chain_session(SessionBackend::Automaton, 1);
+        let cold = session.explain(&request).unwrap();
+        assert!(!cold.lineage_cached);
+        assert!(cold.stages.iter().any(|s| s.name == "dsdnnf_compile"));
+        let self_sum: u64 = cold.stages.iter().map(|s| s.self_ns).sum();
+        assert_eq!(self_sum + cold.unattributed_ns, cold.total_ns);
+        // Fragment-parallel: `eval_fragment` spans nest inside `eval_exact`,
+        // so its self time excludes theirs.
+        let (session, request) = traced_chain_session(SessionBackend::Automaton, 2);
+        session.explain(&request).unwrap();
+        let warm = session.explain(&request).unwrap();
+        let stage = |name: &str| warm.stages.iter().find(|s| s.name == name).unwrap();
+        let (eval, fragments) = (stage("eval_exact"), stage("eval_fragment"));
+        assert!(eval.self_ns < eval.total_ns);
+        assert!(fragments.self_ns <= fragments.total_ns);
+        assert!(warm.unattributed_ns <= warm.total_ns);
+    }
+
+    #[test]
     fn warm_float_explain_lists_the_eval_interval_stage() {
         for threads in [1usize, 2] {
             let (session, request) = traced_chain_session(SessionBackend::FloatFirst, threads);
@@ -2797,10 +2843,12 @@ mod tests {
             dd_nodes: None,
             trace: Some(7),
             total_ns: 1_500,
+            unattributed_ns: 100,
             stages: vec![StageTiming {
                 name: "eval\"stage\"",
                 count: 2,
                 total_ns: 900,
+                self_ns: 600,
             }],
         };
         assert_eq!(
@@ -2809,8 +2857,8 @@ mod tests {
              \"interval_width\":0.0,\
              \"cache\":{\"encoding\":true,\"machine\":false,\"lineage\":true},\
              \"artifact\":{\"automaton_states\":5,\"gates\":42,\"vtree_nodes\":21,\"fragments\":3},\
-             \"trace\":7,\"total_ns\":1500,\
-             \"stages\":[{\"name\":\"eval\\\"stage\\\"\",\"count\":2,\"total_ns\":900}]}"
+             \"trace\":7,\"total_ns\":1500,\"unattributed_ns\":100,\
+             \"stages\":[{\"name\":\"eval\\\"stage\\\"\",\"count\":2,\"total_ns\":900,\"self_ns\":600}]}"
         );
     }
 
