@@ -11,7 +11,7 @@
 //!   a big-rational pass of tens of ms). This row pins the headline
 //!   "≤ 5% instrumented" acceptance on the shape earlier PRs recorded.
 //! * `float_batch_{noop,instrumented}` — `batch_probability_f64` on a
-//!   FloatFirst session: a sub-millisecond pass per request, so
+//!   float-first session: a sub-millisecond pass per request, so
 //!   per-request telemetry work (two map updates, one clock pair) is
 //!   maximally visible. This is the adversarial row for the no-op claim.
 //! * `cold_compile_{noop,instrumented}` — a cold `LineageBuilder`
@@ -96,8 +96,10 @@ fn benches(c: &mut Criterion) {
             |b| b.iter(|| exact.batch_probability(&requests)),
         );
 
-        let mut float =
-            EvalSession::with_backend(config(telemetry.clone()), SessionBackend::FloatFirst);
+        let mut float = EvalSession::new(EngineConfig {
+            float_first: true,
+            ..config(telemetry.clone())
+        });
         let qid = float.register_query(q.clone());
         let iid = float.register_instance(inst.clone());
         let requests: Vec<ProbabilityRequest> = (0..BATCH)

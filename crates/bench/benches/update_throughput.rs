@@ -84,8 +84,7 @@ fn benches(c: &mut Criterion) {
     group.sample_size(3);
 
     for (shape, size, (inst, q)) in &shapes {
-        let mut session =
-            EvalSession::with_backend(EngineConfig::with_threads(2), SessionBackend::Automaton);
+        let mut session = EvalSession::new(EngineConfig::with_threads(2));
         let qid = session.register_query(q.clone());
         let iid = session.register_instance(inst.clone());
         let answer = |session: &EvalSession| {

@@ -64,9 +64,9 @@ pub use probability::{model_check, ProbabilityEvaluator};
 pub use treelineage_engine::{
     karp_luby_probability, karp_luby_sample_bound, validate_insert, validate_retract,
     CacheOccupancy, CircuitPartition, DecisionTier, EngineConfig, EngineError, EvalSession,
-    KarpLubyEstimate, MetricsSnapshot, ParallelDnnf, ProbabilityRequest, Registry, SessionBackend,
-    SessionStats, Span, SpanEvent, Telemetry, ThresholdDecision, ThresholdRequest, UpdateError,
-    UpdateKind, UpdateReport, WmcRequest,
+    KarpLubyEstimate, MetricsSnapshot, ParallelDnnf, ProbabilityRequest, Registry, SessionStats,
+    Span, SpanEvent, Telemetry, ThresholdDecision, ThresholdRequest, UpdateError, UpdateKind,
+    UpdateReport, WmcRequest,
 };
 
 /// Convenience re-exports of the types most users need.
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::{
         model_check, AutomatonLineage, CacheOccupancy, EngineConfig, EvalSession, LineageBackend,
         LineageBuilder, LineageError, MatchCounter, MetricsSnapshot, ProbabilityEvaluator,
-        SessionBackend, StructuredLineage, Telemetry, UpdateError, UpdateKind, UpdateReport,
+        StructuredLineage, Telemetry, UpdateError, UpdateKind, UpdateReport,
     };
     pub use treelineage_circuit::{Circuit, Dnnf, Formula, Obdd, Vtree};
     pub use treelineage_dd::{Manager as DdManager, NodeId as DdNodeId, Stats as DdStats};

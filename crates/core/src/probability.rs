@@ -143,8 +143,8 @@ impl<'a> ProbabilityEvaluator<'a> {
     /// threshold can trust any comparison the interval resolves, and only
     /// needs the exact [`ProbabilityEvaluator::query_probability`] when the
     /// threshold lands inside the interval — the float-first serving policy
-    /// that [`treelineage_engine::EvalSession`] wires up as
-    /// [`treelineage_engine::SessionBackend::FloatFirst`].
+    /// that [`treelineage_engine::EvalSession`] wires up under
+    /// [`treelineage_engine::EngineConfig::float_first`].
     ///
     /// Routed per backend: [`LineageBackend::Automaton`] runs the
     /// fragment-parallel interval pass over the provenance d-SDNNF (still

@@ -16,14 +16,14 @@
 //!   partition so probability / WMC / model-counting passes parallelize the
 //!   same way.
 //! * [`EvalSession`] — a long-lived session holding the persistent compiled
-//!   query machines, per-instance tree encodings, and a sharded
-//!   [`treelineage_dd::Manager`] pool, exposing
-//!   [`EvalSession::batch_probability`] / [`EvalSession::batch_wmc`] /
-//!   [`EvalSession::batch_model_count`] that evaluate many (query,
-//!   instance, weights) requests concurrently and deduplicate shared
-//!   compile work.
+//!   query machines, per-instance tree encodings, and per-(query, instance)
+//!   provenance d-SDNNFs, exposing [`EvalSession::batch_probability`] /
+//!   [`EvalSession::batch_wmc`] / [`EvalSession::batch_model_count`] (and
+//!   the f64, threshold and `explain` entry points) that evaluate many
+//!   (query, instance, weights) requests concurrently from those cached
+//!   circuits and deduplicate shared compile work.
 //! * [`EngineConfig`] — the knob set (`threads`, `state_budget`, cache
-//!   caps) that `treelineage-core`'s `ProbabilityEvaluator` and the bench
+//!   caps, and `float_first`, the session's one serving-policy switch) that `treelineage-core`'s `ProbabilityEvaluator` and the bench
 //!   harness route through, so every existing entry point can opt into
 //!   parallelism without API changes.
 
@@ -41,9 +41,8 @@ pub use parallel::{
 };
 pub use session::{
     validate_insert, validate_retract, CacheOccupancy, DecisionTier, EngineError, EvalSession,
-    ExplainReport, InstanceId, ProbabilityRequest, QueryId, SessionBackend, SessionStats,
-    SlowRequest, StageTiming, ThresholdDecision, ThresholdRequest, UpdateError, UpdateKind,
-    UpdateReport, WmcRequest,
+    ExplainReport, InstanceId, ProbabilityRequest, QueryId, SessionStats, SlowRequest, StageTiming,
+    ThresholdDecision, ThresholdRequest, UpdateError, UpdateKind, UpdateReport, WmcRequest,
 };
 pub use treelineage_telemetry::{
     to_chrome_trace, ContextGuard, MetricsSnapshot, Registry, Span, SpanContext, SpanEvent,
@@ -84,12 +83,16 @@ pub struct EngineConfig {
     /// Maximum number of compiled lineages an [`EvalSession`] keeps (per
     /// (query, instance); least recently used evicted first).
     pub lineage_cache_cap: usize,
-    /// Serve probability requests float-first: [`EvalSession::new`] picks
-    /// [`SessionBackend::FloatFirst`], threshold requests are answered from
-    /// the certified f64 interval pass (falling back to exact rationals
-    /// only when the threshold lands inside the interval), and instances
-    /// whose query compilation blows the state budget degrade to the
-    /// Karp–Luby estimator instead of failing. Default `false`.
+    /// The [`EvalSession`] serving policy. When set, threshold requests are
+    /// answered from the certified f64 interval pass (falling back to exact
+    /// rationals only when the threshold lands inside the interval),
+    /// [`EvalSession::explain`] answers from that pass too, and (query,
+    /// instance) pairs whose compilation blows the state budget degrade to
+    /// the Karp–Luby estimator in the f64, threshold and `explain` entry
+    /// points instead of failing. When unset, those entry points answer
+    /// exactly (the f64 batch still from the interval pass) and surface
+    /// the budget error. [`EvalSession::batch_probability`] is exact
+    /// either way. Default `false`.
     pub float_first: bool,
     /// Relative error bound ε of the Karp–Luby fallback estimator
     /// (`|estimate − exact| ≤ ε·exact` with probability `1 − δ`). Default
@@ -154,8 +157,7 @@ impl EngineConfig {
 /// instance's Gaifman graph: the \[35\]-style depth-first bag layout with
 /// every fact placed at its first covering bag (the layout itself lives in
 /// [`treelineage_dd::order`]). This is the order every match-based backend
-/// compiles under; `treelineage-core` re-exports it, and [`EvalSession`]'s
-/// shared-diagram shards use it to seed their managers.
+/// compiles under; `treelineage-core` re-exports it.
 pub fn variable_order_from_decomposition(
     instance: &Instance,
     td: &TreeDecomposition,

@@ -11,22 +11,19 @@
 //! engine's work-stealing pool:
 //!
 //! * **per-instance state** — the instance, its (validated) tree
-//!   decomposition, the lazily built [`TreeEncoding`], and — for the
-//!   shared-diagram backend — a lazily seeded [`Manager`] *shard*;
+//!   decomposition, and the lazily built [`TreeEncoding`];
 //! * **per-(query, width) state** — the persistent
 //!   [`CompiledQuery`] machine, whose deterministic-state memo keeps
 //!   growing across instances (its own kind of cache);
 //! * **per-(query, instance) state** — the compiled [`ParallelDnnf`]
 //!   lineage, shared by every request and every batch that names the pair.
+//!   Evaluation over it is read-only, so requests need no lock after the
+//!   compile.
 //!
-//! **Why shards instead of one lock.** The dd [`Manager`] is a mutable
-//! hash-consed store: compilation needs `&mut`, and even evaluation takes
-//! the shard lock. One global manager would serialize the whole batch; one
-//! manager *per registered instance* (the natural unit, since a manager is
-//! pinned to its variable order) lets requests for different instances
-//! proceed in parallel and contend only with requests for the same
-//! instance. The automaton backend needs no locking at all after compile —
-//! [`ParallelDnnf`] evaluation is read-only.
+//! Every request is served from that cached d-SDNNF; the one serving-policy
+//! switch is [`EngineConfig::float_first`], which picks the certified f64
+//! tier for threshold and `explain` requests and lets budget-blown pairs
+//! degrade to Karp–Luby.
 //!
 //! Results are deterministic: caches only memoize deterministic
 //! computations, so a cache hit returns byte-for-byte what a cold compile
@@ -36,12 +33,11 @@
 use crate::approx::karp_luby_probability;
 use crate::parallel::{compile_with_pool_cached, FragmentLibrary, ParallelDnnf};
 use crate::pool::{lock_recovering, run_tasks, run_tasks_catching};
-use crate::{variable_order_from_decomposition, EngineConfig};
+use crate::EngineConfig;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
-use treelineage_dd::Manager;
 use treelineage_encoding::{
     compile_ucq, CompileError, CompileOptions, CompiledQuery, EncodingError, EncodingPlan,
     TreeEncoding,
@@ -49,7 +45,7 @@ use treelineage_encoding::{
 use treelineage_graph::TreeDecomposition;
 use treelineage_instance::{Element, Fact, FactId, Instance, ProbabilityValuation};
 use treelineage_num::{BigUint, ErrorInterval, Rational};
-use treelineage_query::{matching, UnionOfConjunctiveQueries};
+use treelineage_query::UnionOfConjunctiveQueries;
 use treelineage_telemetry::{MetricsSnapshot, Span, SpanEvent};
 
 /// Handle to an instance registered with an [`EvalSession`].
@@ -57,8 +53,8 @@ use treelineage_telemetry::{MetricsSnapshot, Span, SpanEvent};
 pub struct InstanceId(usize);
 
 impl InstanceId {
-    /// The session-local index of the instance — the value the telemetry
-    /// layer uses as the `shard` label of the per-shard dd series.
+    /// The session-local index of the instance (the `instance` label of
+    /// the `update` and `compile_pair` spans).
     pub fn index(self) -> usize {
         self.0
     }
@@ -72,41 +68,6 @@ impl QueryId {
     /// The session-local index of the query.
     pub fn index(self) -> usize {
         self.0
-    }
-}
-
-/// Which compiled representation a session serves requests from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SessionBackend {
-    /// The Section 6 pipeline: tree-encode each instance once, compile each
-    /// query to a tree automaton once, serve every request from the cached
-    /// provenance d-SDNNF (never materializing query matches). The default.
-    #[default]
-    Automaton,
-    /// The shared decision-diagram engine: one [`Manager`] shard per
-    /// registered instance, query lineages compiled from their matches into
-    /// the shard and looked up by root node on later requests.
-    SharedDd,
-    /// The automaton pipeline with the certified-f64 serving policy:
-    /// [`EvalSession::batch_threshold`] answers from the interval fast-path
-    /// (falling back to exact rationals only when the threshold lands
-    /// inside the interval), and (query, instance) pairs whose compilation
-    /// blows the state budget degrade to the Karp–Luby estimator with the
-    /// session's `(ε, δ)` instead of failing. The exact-rational batch
-    /// methods are unchanged under this backend — float-first is a *serving
-    /// policy*, not a different compilation pipeline.
-    FloatFirst,
-}
-
-impl SessionBackend {
-    /// Stable lowercase name of the backend, used by [`ExplainReport`] and
-    /// the telemetry surfaces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SessionBackend::Automaton => "automaton",
-            SessionBackend::SharedDd => "shared_dd",
-            SessionBackend::FloatFirst => "float_first",
-        }
     }
 }
 
@@ -128,10 +89,10 @@ pub enum EngineError {
     /// message). The panic is contained to the request: other requests of
     /// the batch and the session itself stay fully usable.
     WorkerPanicked(String),
-    /// The request itself is malformed (unknown query/instance handle, or a
-    /// valuation that does not cover the instance). Reported by entry
-    /// points that validate on the caller's thread, such as
-    /// [`EvalSession::explain`], instead of panicking a worker.
+    /// The request itself is malformed: an unknown query/instance handle
+    /// (rejected per request by every batch method, before any compile), or
+    /// — in [`EvalSession::explain`], which validates on the caller's
+    /// thread — a valuation that does not cover the instance.
     InvalidRequest(String),
 }
 
@@ -390,12 +351,12 @@ pub enum DecisionTier {
     /// The certified f64 interval pass alone decided (the threshold lay
     /// strictly outside the interval).
     Float,
-    /// Exact rational evaluation (the only tier on exact backends; the
-    /// fallback on [`SessionBackend::FloatFirst`] when the threshold lands
-    /// inside the interval).
+    /// Exact rational evaluation (the only tier of an exact-only session;
+    /// the fallback under [`EngineConfig::float_first`] when the threshold
+    /// lands inside the interval).
     Exact,
     /// The Karp–Luby estimator (compile budget exceeded under
-    /// [`SessionBackend::FloatFirst`]); the decision is probabilistic.
+    /// [`EngineConfig::float_first`]); the decision is probabilistic.
     MonteCarlo,
 }
 
@@ -469,15 +430,13 @@ pub struct StageTiming {
 }
 
 /// A structured per-request report from [`EvalSession::explain`]: which
-/// backend and tier served the request, what each cache layer contributed,
+/// tier served the request, what each cache layer contributed,
 /// the sizes of the compiled artifacts involved, and where the time went
 /// (per-stage durations aggregated from the request's own spans).
 /// [`ExplainReport::to_json`] renders it stably for log pipelines and the
 /// `tables` experiment binary.
 #[derive(Clone, Debug)]
 pub struct ExplainReport {
-    /// The serving backend ([`SessionBackend::as_str`]).
-    pub backend: &'static str,
     /// The tier that produced the answer.
     pub tier: DecisionTier,
     /// The probability estimate (exact value for exact tiers, interval
@@ -491,23 +450,18 @@ pub struct ExplainReport {
     pub encoding_cached: bool,
     /// Whether the compiled query machine was already cached.
     pub machine_cached: bool,
-    /// Whether the lineage artifact (d-SDNNF, or dd root on
-    /// [`SessionBackend::SharedDd`]) was already cached.
+    /// Whether the lineage d-SDNNF was already cached.
     pub lineage_cached: bool,
-    /// Deterministic states of the compiled query machine (automaton
-    /// backends only).
+    /// Deterministic states of the compiled query machine (`None` when the
+    /// compile failed and the request degraded to Karp–Luby).
     pub automaton_states: Option<usize>,
-    /// Gate count of the compiled d-SDNNF (automaton backends only).
+    /// Gate count of the compiled d-SDNNF (`None` likewise).
     pub gates: Option<usize>,
-    /// Node count of the vtree structuring the d-SDNNF (automaton backends
-    /// only).
+    /// Node count of the vtree structuring the d-SDNNF (`None` likewise).
     pub vtree_nodes: Option<usize>,
     /// Fragments of the circuit partition available to fragment-parallel
-    /// evaluation (automaton backends only).
+    /// evaluation (`None` likewise).
     pub fragments: Option<usize>,
-    /// Node count of the instance's dd shard
-    /// ([`SessionBackend::SharedDd`] only).
-    pub dd_nodes: Option<usize>,
     /// The request's trace id, `None` when telemetry is disabled.
     pub trace: Option<u64>,
     /// End-to-end duration of the request span (0 when telemetry is
@@ -542,9 +496,7 @@ impl ExplainReport {
             }
             out.push('"');
         }
-        let mut out = String::from("{\"backend\":");
-        push_escaped(&mut out, self.backend);
-        out.push_str(",\"tier\":");
+        let mut out = String::from("{\"tier\":");
         push_escaped(&mut out, self.tier.as_str());
         // `{:?}` on finite f64 is shortest-roundtrip and valid JSON.
         out.push_str(&format!(",\"estimate\":{:?}", self.estimate));
@@ -560,7 +512,6 @@ impl ExplainReport {
             ("gates", self.gates),
             ("vtree_nodes", self.vtree_nodes),
             ("fragments", self.fragments),
-            ("dd_nodes", self.dd_nodes),
         ] {
             if let Some(value) = value {
                 if !first {
@@ -607,14 +558,12 @@ pub struct SessionStats {
     pub machines_built: usize,
     /// Tree encodings built (per-instance misses).
     pub encodings_built: usize,
-    /// dd-shard lineage roots compiled (SharedDd backend misses).
-    pub dd_roots_built: usize,
     /// Threshold requests decided by the float interval pass alone.
     pub float_decisions: usize,
     /// Threshold requests that fell back to exact rational evaluation.
     pub exact_fallbacks: usize,
     /// Requests served by the Karp–Luby estimator (budget-exceeded
-    /// degradation under [`SessionBackend::FloatFirst`]).
+    /// degradation under [`EngineConfig::float_first`]).
     pub monte_carlo_fallbacks: usize,
     /// Requests whose worker task panicked ([`EngineError::WorkerPanicked`]).
     /// Every panic is also counted in [`SessionStats::errors`].
@@ -642,14 +591,13 @@ pub struct SessionStats {
 }
 
 /// Artifact sizes collected while serving an [`EvalSession::explain`]
-/// request; which fields are populated depends on the backend.
+/// request; all `None` when the compile failed.
 #[derive(Default)]
 struct ArtifactStats {
     automaton_states: Option<usize>,
     gates: Option<usize>,
     vtree_nodes: Option<usize>,
     fragments: Option<usize>,
-    dd_nodes: Option<usize>,
 }
 
 #[derive(Default)]
@@ -659,7 +607,6 @@ struct Counters {
     lineage_misses: AtomicUsize,
     machines_built: AtomicUsize,
     encodings_built: AtomicUsize,
-    dd_roots_built: AtomicUsize,
     float_decisions: AtomicUsize,
     exact_fallbacks: AtomicUsize,
     monte_carlo_fallbacks: AtomicUsize,
@@ -751,9 +698,9 @@ impl<K: Ord + Clone, V: Clone> CacheMap<K, V> {
 
 /// Point-in-time occupancy of an [`EvalSession`]'s cache layers, from
 /// [`EvalSession::cache_occupancy`]. Entry counts never exceed the matching
-/// capacity (the caches evict on insert past the cap); the encoding and dd
-/// layers are per registered instance and uncapped, so they report how many
-/// instances have materialized that state so far.
+/// capacity (the caches evict on insert past the cap); the encoding layer
+/// is per registered instance and uncapped, so it reports how many
+/// instances have materialized their encoding so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheOccupancy {
     /// Compiled lineages resident in the (query, instance) cache.
@@ -766,23 +713,12 @@ pub struct CacheOccupancy {
     pub machine_capacity: usize,
     /// Registered instances whose tree encoding has been built.
     pub encodings: usize,
-    /// Registered instances whose dd shard has been seeded
-    /// ([`SessionBackend::SharedDd`] only).
-    pub dd_shards: usize,
-}
-
-/// A dd-engine shard: one manager (pinned to the instance's fact order)
-/// plus the root nodes of the query lineages compiled into it so far.
-struct DdShard {
-    manager: Manager,
-    roots: BTreeMap<usize, treelineage_dd::NodeId>,
 }
 
 struct InstanceEntry {
     instance: Instance,
     decomposition: TreeDecomposition,
     encoding: Mutex<Option<Arc<TreeEncoding>>>,
-    dd: Mutex<Option<DdShard>>,
     /// The session-resident valuation (1/2 per fact at registration),
     /// mutated by [`EvalSession::set_probability`] and kept aligned with the
     /// fact set by insert/retract. Requests still carry their own
@@ -819,7 +755,6 @@ struct CachedLineage {
 /// [`Arc`] and call batches from several threads.
 pub struct EvalSession {
     config: EngineConfig,
-    backend: SessionBackend,
     instances: Vec<InstanceEntry>,
     queries: Vec<UnionOfConjunctiveQueries>,
     /// Compiled query machines, keyed by (query, alphabet width). The
@@ -843,26 +778,14 @@ pub struct EvalSession {
 type MachineCache = CacheMap<(usize, usize), Arc<Mutex<CompiledQuery>>>;
 
 impl EvalSession {
-    /// Creates a session over the default [`SessionBackend::Automaton`],
-    /// or [`SessionBackend::FloatFirst`] when the config sets
-    /// [`EngineConfig::float_first`].
+    /// Creates a session; [`EngineConfig::float_first`] selects its
+    /// serving policy.
     pub fn new(config: EngineConfig) -> Self {
-        let backend = if config.float_first {
-            SessionBackend::FloatFirst
-        } else {
-            SessionBackend::default()
-        };
-        EvalSession::with_backend(config, backend)
-    }
-
-    /// Creates a session serving requests from the given backend.
-    pub fn with_backend(config: EngineConfig, backend: SessionBackend) -> Self {
         EvalSession {
             machines: Mutex::new(CacheMap::new(config.query_cache_cap)),
             lineages: Mutex::new(CacheMap::new(config.lineage_cache_cap)),
             stale: Mutex::new(BTreeMap::new()),
             config,
-            backend,
             instances: Vec::new(),
             queries: Vec::new(),
             counters: Counters::default(),
@@ -873,11 +796,6 @@ impl EvalSession {
     /// The session's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The backend requests are served from.
-    pub fn backend(&self) -> SessionBackend {
-        self.backend
     }
 
     /// Registers an instance, deriving a heuristic tree decomposition of
@@ -912,7 +830,6 @@ impl EvalSession {
             instance,
             decomposition,
             encoding: Mutex::new(None),
-            dd: Mutex::new(None),
             valuation,
             epoch: 0,
             plan: None,
@@ -951,7 +868,7 @@ impl EvalSession {
     }
 
     /// Inserts a fact with the given probability. Structural: the
-    /// instance's tree encoding, dd shard and resident lineages are
+    /// instance's tree encoding and resident lineages are
     /// invalidated, but each invalidated lineage's fragment library is
     /// retained — the next compile of the pair re-encodes, replays every
     /// fragment whose subtree is untouched byte-identically, and recompiles
@@ -1037,8 +954,8 @@ impl EvalSession {
 
     /// Overrides one fact's probability in the session's resident
     /// valuation. The cheap tier: the compiled gate stream is
-    /// probability-independent, so no encoding, machine, lineage or dd
-    /// state is invalidated — later evaluations simply read the new weight.
+    /// probability-independent, so no encoding, machine or lineage state
+    /// is invalidated — later evaluations simply read the new weight.
     /// Overriding with the current value is an accepted zero-dirty no-op
     /// (`no_op: true`, epoch untouched, nothing counted).
     pub fn set_probability(
@@ -1130,13 +1047,12 @@ impl EvalSession {
     }
 
     /// Invalidates every structural cache layer of one instance: the tree
-    /// encoding and dd shard are dropped, and the instance's resident
+    /// encoding is dropped, and the instance's resident
     /// lineages move to the stale set, keeping their fragment libraries for
     /// incremental recompilation. Returns how many lineages were evicted.
     fn invalidate_structural(&self, i: usize) -> usize {
         let entry = &self.instances[i];
         *lock_recovering(&entry.encoding) = None;
-        *lock_recovering(&entry.dd) = None;
         let harvested = lock_recovering(&self.lineages).take_matching(|&(_, inst)| inst == i);
         let count = harvested.len();
         if count > 0 {
@@ -1159,7 +1075,6 @@ impl EvalSession {
             lineage_misses: self.counters.lineage_misses.load(Ordering::Relaxed),
             machines_built: self.counters.machines_built.load(Ordering::Relaxed),
             encodings_built: self.counters.encodings_built.load(Ordering::Relaxed),
-            dd_roots_built: self.counters.dd_roots_built.load(Ordering::Relaxed),
             float_decisions: self.counters.float_decisions.load(Ordering::Relaxed),
             exact_fallbacks: self.counters.exact_fallbacks.load(Ordering::Relaxed),
             monte_carlo_fallbacks: self.counters.monte_carlo_fallbacks.load(Ordering::Relaxed),
@@ -1201,36 +1116,16 @@ impl EvalSession {
                 .iter()
                 .filter(|e| lock_recovering(&e.encoding).is_some())
                 .count(),
-            dd_shards: self
-                .instances
-                .iter()
-                .filter(|e| lock_recovering(&e.dd).is_some())
-                .count(),
         }
-    }
-
-    /// Store and cache statistics of every seeded dd shard, keyed by the
-    /// instance the shard serves. Empty until a [`SessionBackend::SharedDd`]
-    /// request first touches an instance.
-    pub fn dd_shard_stats(&self) -> Vec<(InstanceId, treelineage_dd::Stats)> {
-        self.instances
-            .iter()
-            .enumerate()
-            .filter_map(|(i, entry)| {
-                lock_recovering(&entry.dd)
-                    .as_ref()
-                    .map(|shard| (InstanceId(i), shard.manager.stats()))
-            })
-            .collect()
     }
 
     /// The session's full observability surface as one stable
     /// [`MetricsSnapshot`]: the telemetry registry's counters, gauges,
     /// histograms and span aggregates (empty when [`EngineConfig::telemetry`]
     /// is disabled), merged with the always-on session layers — the
-    /// [`SessionStats`] counters (as `session_*` counter series), cache
-    /// occupancy/capacity gauges, and per-shard dd statistics (labelled by
-    /// shard instance id). Export with [`MetricsSnapshot::to_json_lines`] or
+    /// [`SessionStats`] counters (as `session_*` counter series) and cache
+    /// occupancy/capacity gauges. Export with
+    /// [`MetricsSnapshot::to_json_lines`] or
     /// [`MetricsSnapshot::to_prometheus`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.config.telemetry.snapshot();
@@ -1241,7 +1136,6 @@ impl EvalSession {
             ("session_lineage_misses_total", stats.lineage_misses),
             ("session_machines_built_total", stats.machines_built),
             ("session_encodings_built_total", stats.encodings_built),
-            ("session_dd_roots_built_total", stats.dd_roots_built),
             ("session_float_decisions_total", stats.float_decisions),
             ("session_exact_fallbacks_total", stats.exact_fallbacks),
             (
@@ -1276,26 +1170,8 @@ impl EvalSession {
             ("query_cache_entries", occupancy.machine_entries),
             ("query_cache_capacity", occupancy.machine_capacity),
             ("instance_encodings", occupancy.encodings),
-            ("dd_shards", occupancy.dd_shards),
         ] {
             snap.push_gauge(name, &[], value as i64);
-        }
-        for (instance, dd_stats) in self.dd_shard_stats() {
-            let shard = instance.0.to_string();
-            let labels = [("shard", shard.as_str())];
-            snap.push_gauge("dd_nodes", &labels, dd_stats.node_count as i64);
-            snap.push_gauge(
-                "dd_unique_table_len",
-                &labels,
-                dd_stats.unique_table_len as i64,
-            );
-            snap.push_gauge("dd_op_cache_len", &labels, dd_stats.op_cache_len as i64);
-            snap.push_counter("dd_op_cache_hits_total", &labels, dd_stats.op_cache_hits);
-            snap.push_counter(
-                "dd_op_cache_misses_total",
-                &labels,
-                dd_stats.op_cache_misses,
-            );
         }
         snap
     }
@@ -1305,15 +1181,17 @@ impl EvalSession {
     /// once, then hits the session cache on later batches); compiles and
     /// evaluations run concurrently on the configured thread count.
     ///
-    /// Always exact — under [`SessionBackend::FloatFirst`] the approximate
-    /// tiers serve [`EvalSession::batch_threshold`] and
-    /// [`EvalSession::batch_probability_f64`]; a caller asking for the
-    /// exact rational gets the exact rational.
+    /// Always exact — the approximate tiers serve
+    /// [`EvalSession::batch_probability_f64`] and, under
+    /// [`EngineConfig::float_first`], [`EvalSession::batch_threshold`] and
+    /// [`EvalSession::explain`]; a caller asking for the exact rational
+    /// gets the exact rational.
     ///
-    /// A panic inside one request's evaluation (e.g. a valuation that does
-    /// not cover the instance) is contained to that request as
-    /// [`EngineError::WorkerPanicked`]; the rest of the batch and the
-    /// session itself stay usable.
+    /// A request naming a handle this session never issued fails alone
+    /// with [`EngineError::InvalidRequest`]. A panic inside one request's
+    /// evaluation (e.g. a valuation that does not cover the instance) is
+    /// contained to that request as [`EngineError::WorkerPanicked`]; the
+    /// rest of the batch and the session itself stay usable.
     pub fn batch_probability(
         &self,
         requests: &[ProbabilityRequest],
@@ -1321,46 +1199,65 @@ impl EvalSession {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        match self.backend {
-            SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                let artifacts =
-                    self.compile_pairs(requests.iter().map(|r| (r.query.0, r.instance.0)));
-                let eval_threads = self.eval_threads(requests.len());
-                self.flatten_caught(run_tasks_catching(
-                    self.config.threads,
-                    requests.len(),
-                    &self.config.telemetry,
-                    |i| {
-                        let started = self.timer();
-                        let span = self.request_span("probability");
-                        let r = &requests[i];
-                        self.check_valuation(r.instance, &r.valuation);
-                        let lineage = artifacts[&(r.query.0, r.instance.0)].clone()?;
-                        let p = lineage.probability(
-                            &|v| r.valuation.probability(FactId(v)).clone(),
-                            eval_threads,
-                        );
-                        self.record_request("probability", DecisionTier::Exact, started, span);
-                        Ok(p)
-                    },
-                ))
+        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query, r.instance)));
+        let eval_threads = self.eval_threads(requests.len());
+        self.flatten_caught(run_tasks_catching(
+            self.config.threads,
+            requests.len(),
+            &self.config.telemetry,
+            |i| {
+                let started = self.timer();
+                let span = self.request_span("probability");
+                let r = &requests[i];
+                let lineage = &artifacts[&(r.query.0, r.instance.0)];
+                let p = self.serve_exact(r.instance, &r.valuation, lineage, eval_threads)?;
+                self.record_request("probability", DecisionTier::Exact, started, span);
+                Ok(p)
+            },
+        ))
+    }
+
+    /// The exact tier of one request: the scaled-integer pass over the
+    /// pair's compiled lineage, or the pair's compile error.
+    fn serve_exact(
+        &self,
+        instance: InstanceId,
+        valuation: &ProbabilityValuation,
+        lineage: &Result<Arc<ParallelDnnf>, EngineError>,
+        eval_threads: usize,
+    ) -> Result<Rational, EngineError> {
+        let lineage = lineage.as_ref().map_err(EngineError::clone)?;
+        self.check_valuation(instance, valuation);
+        Ok(lineage.probability(&|v| valuation.probability(FactId(v)).clone(), eval_threads))
+    }
+
+    /// The f64 tier of one request: the certified interval pass over the
+    /// pair's compiled lineage ([`DecisionTier::Float`]); when the compile
+    /// blew the state budget under [`EngineConfig::float_first`], the
+    /// Karp–Luby estimate ([`DecisionTier::MonteCarlo`]); otherwise the
+    /// pair's compile error. Returns the tier, the point estimate and its
+    /// enclosure.
+    fn serve_f64(
+        &self,
+        query: QueryId,
+        instance: InstanceId,
+        valuation: &ProbabilityValuation,
+        lineage: &Result<Arc<ParallelDnnf>, EngineError>,
+        eval_threads: usize,
+    ) -> Result<(DecisionTier, f64, ErrorInterval), EngineError> {
+        match lineage {
+            Ok(lineage) => {
+                self.check_valuation(instance, valuation);
+                let interval = lineage.probability_interval(
+                    &|v| ErrorInterval::from_rational(valuation.probability(FactId(v))),
+                    eval_threads,
+                );
+                Ok((DecisionTier::Float, interval.midpoint(), interval))
             }
-            SessionBackend::SharedDd => self.flatten_caught(run_tasks_catching(
-                self.config.threads,
-                requests.len(),
-                &self.config.telemetry,
-                |i| {
-                    let started = self.timer();
-                    let span = self.request_span("probability");
-                    let r = &requests[i];
-                    self.check_valuation(r.instance, &r.valuation);
-                    let p = self.dd_evaluate(r.query.0, r.instance.0, |manager, root| {
-                        manager.probability(root, &|v| r.valuation.probability(FactId(v)).clone())
-                    })?;
-                    self.record_request("probability", DecisionTier::Exact, started, span);
-                    Ok(p)
-                },
-            )),
+            Err(e) => match self.monte_carlo(query, instance, valuation, e) {
+                Some((estimate, interval)) => Ok((DecisionTier::MonteCarlo, estimate, interval)),
+                None => Err(e.clone()),
+            },
         }
     }
 
@@ -1496,14 +1393,14 @@ impl EvalSession {
     }
 
     /// Evaluates a batch of general weighted-model-count requests. Always
-    /// served from the automaton backend's smooth d-SDNNF (one pass per
-    /// request), mirroring how the core evaluator routes WMC. Panics are
+    /// served from the smooth d-SDNNF (one pass per request), mirroring how
+    /// the core evaluator routes WMC. Unknown handles and panics are
     /// contained per request as in [`EvalSession::batch_probability`].
     pub fn batch_wmc(&self, requests: &[WmcRequest]) -> Vec<Result<Rational, EngineError>> {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query.0, r.instance.0)));
+        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query, r.instance)));
         let eval_threads = self.eval_threads(requests.len());
         self.flatten_caught(run_tasks_catching(
             self.config.threads,
@@ -1513,6 +1410,9 @@ impl EvalSession {
                 let started = self.timer();
                 let span = self.request_span("wmc");
                 let r = &requests[i];
+                let lineage = artifacts[&(r.query.0, r.instance.0)]
+                    .as_ref()
+                    .map_err(EngineError::clone)?;
                 let facts = self.instances[r.instance.0].instance.fact_count();
                 assert_eq!(
                     r.pos.len(),
@@ -1524,7 +1424,6 @@ impl EvalSession {
                     facts,
                     "neg weights must cover every fact of the instance"
                 );
-                let lineage = artifacts[&(r.query.0, r.instance.0)].clone()?;
                 let w = lineage.wmc(&|v| r.pos[v].clone(), &|v| r.neg[v].clone(), eval_threads);
                 self.record_request("wmc", DecisionTier::Exact, started, span);
                 Ok(w)
@@ -1543,7 +1442,7 @@ impl EvalSession {
     /// cheaper than the exact tier's scaled-integer pass, whose operands
     /// grow with the instance.
     ///
-    /// Under [`SessionBackend::FloatFirst`], a (query, instance) pair whose
+    /// Under [`EngineConfig::float_first`], a (query, instance) pair whose
     /// compilation exceeds the state budget degrades to the Karp–Luby
     /// estimator with the session's `(ε, δ)`; its interval is then the
     /// *probabilistic* `(ε, δ)` bound, not a certified enclosure.
@@ -1554,7 +1453,7 @@ impl EvalSession {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query.0, r.instance.0)));
+        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query, r.instance)));
         let eval_threads = self.eval_threads(requests.len());
         self.flatten_caught(run_tasks_catching(
             self.config.threads,
@@ -1564,29 +1463,11 @@ impl EvalSession {
                 let started = self.timer();
                 let span = self.request_span("probability_f64");
                 let r = &requests[i];
-                self.check_valuation(r.instance, &r.valuation);
-                match &artifacts[&(r.query.0, r.instance.0)] {
-                    Ok(lineage) => {
-                        let interval = lineage.probability_interval(
-                            &|v| ErrorInterval::from_rational(r.valuation.probability(FactId(v))),
-                            eval_threads,
-                        );
-                        self.record_request("probability_f64", DecisionTier::Float, started, span);
-                        Ok((interval.midpoint(), interval))
-                    }
-                    Err(e) => match self.monte_carlo(r, e) {
-                        Some(estimate) => {
-                            self.record_request(
-                                "probability_f64",
-                                DecisionTier::MonteCarlo,
-                                started,
-                                span,
-                            );
-                            Ok(estimate)
-                        }
-                        None => Err(e.clone()),
-                    },
-                }
+                let lineage = &artifacts[&(r.query.0, r.instance.0)];
+                let (tier, estimate, interval) =
+                    self.serve_f64(r.query, r.instance, &r.valuation, lineage, eval_threads)?;
+                self.record_request("probability_f64", tier, started, span);
+                Ok((estimate, interval))
             },
         ))
     }
@@ -1594,16 +1475,16 @@ impl EvalSession {
     /// Decides a batch of threshold requests, picking the cheapest sound
     /// tier per request (see [`ThresholdRequest`] / [`DecisionTier`]):
     ///
-    /// * on [`SessionBackend::FloatFirst`]: the certified f64 interval pass
-    ///   decides when the threshold lies strictly outside the interval
+    /// * under [`EngineConfig::float_first`]: the certified f64 interval
+    ///   pass decides when the threshold lies strictly outside the interval
     ///   ([`DecisionTier::Float`]); otherwise the request falls back to the
     ///   exact pass ([`DecisionTier::Exact`]) — so the decision is
-    ///   always *bit-identical* to what an exact backend would return (the
-    ///   containment contract `exact ∈ interval` makes the float answer
-    ///   sound whenever it is used). Pairs whose compilation blows the
-    ///   state budget degrade to Karp–Luby ([`DecisionTier::MonteCarlo`]),
-    ///   the only probabilistic tier.
-    /// * on the exact backends: every request is decided exactly.
+    ///   always *bit-identical* to what an exact-only session would return
+    ///   (the containment contract `exact ∈ interval` makes the float
+    ///   answer sound whenever it is used). Pairs whose compilation blows
+    ///   the state budget degrade to Karp–Luby
+    ///   ([`DecisionTier::MonteCarlo`]), the only probabilistic tier.
+    /// * otherwise: every request is decided exactly.
     pub fn batch_threshold(
         &self,
         requests: &[ThresholdRequest],
@@ -1611,29 +1492,7 @@ impl EvalSession {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        if self.backend == SessionBackend::SharedDd {
-            return self.flatten_caught(run_tasks_catching(
-                self.config.threads,
-                requests.len(),
-                &self.config.telemetry,
-                |i| {
-                    let started = self.timer();
-                    let span = self.request_span("threshold");
-                    let r = &requests[i];
-                    self.check_valuation(r.instance, &r.valuation);
-                    let exact = self.dd_evaluate(r.query.0, r.instance.0, |manager, root| {
-                        manager.probability(root, &|v| r.valuation.probability(FactId(v)).clone())
-                    })?;
-                    self.counters
-                        .exact_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.record_request("threshold", DecisionTier::Exact, started, span);
-                    Ok(Self::exact_decision(&exact, &r.threshold))
-                },
-            ));
-        }
-        let float_first = self.backend == SessionBackend::FloatFirst;
-        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query.0, r.instance.0)));
+        let artifacts = self.compile_pairs(requests.iter().map(|r| (r.query, r.instance)));
         let eval_threads = self.eval_threads(requests.len());
         self.flatten_caught(run_tasks_catching(
             self.config.threads,
@@ -1643,70 +1502,42 @@ impl EvalSession {
                 let started = self.timer();
                 let span = self.request_span("threshold");
                 let r = &requests[i];
-                self.check_valuation(r.instance, &r.valuation);
-                let lineage = match &artifacts[&(r.query.0, r.instance.0)] {
-                    Ok(lineage) => lineage,
-                    Err(e) => {
-                        let as_probability = ProbabilityRequest {
-                            query: r.query,
-                            instance: r.instance,
-                            valuation: r.valuation.clone(),
-                        };
-                        return match self.monte_carlo(&as_probability, e) {
-                            Some((estimate, interval)) => {
-                                self.record_request(
-                                    "threshold",
-                                    DecisionTier::MonteCarlo,
-                                    started,
-                                    span,
-                                );
-                                Ok(ThresholdDecision {
-                                    above: estimate > r.threshold.to_f64(),
-                                    tier: DecisionTier::MonteCarlo,
-                                    interval,
-                                })
-                            }
-                            None => Err(e.clone()),
-                        };
-                    }
-                };
-                if float_first {
-                    let interval = lineage.probability_interval(
-                        &|v| ErrorInterval::from_rational(r.valuation.probability(FactId(v))),
-                        eval_threads,
-                    );
-                    if let Some(order) = interval.compare_threshold(&r.threshold) {
-                        self.counters
-                            .float_decisions
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.record_request("threshold", DecisionTier::Float, started, span);
+                let lineage = &artifacts[&(r.query.0, r.instance.0)];
+                if self.config.float_first {
+                    let (tier, estimate, interval) =
+                        self.serve_f64(r.query, r.instance, &r.valuation, lineage, eval_threads)?;
+                    let above = match tier {
+                        DecisionTier::MonteCarlo => Some(estimate > r.threshold.to_f64()),
+                        _ => interval
+                            .compare_threshold(&r.threshold)
+                            .map(|order| order == std::cmp::Ordering::Greater),
+                    };
+                    if let Some(above) = above {
+                        if tier == DecisionTier::Float {
+                            self.counters
+                                .float_decisions
+                                .fetch_add(1, Ordering::Relaxed);
+                        }
+                        self.record_request("threshold", tier, started, span);
                         return Ok(ThresholdDecision {
-                            above: order == std::cmp::Ordering::Greater,
-                            tier: DecisionTier::Float,
+                            above,
+                            tier,
                             interval,
                         });
                     }
                 }
-                let exact = lineage.probability(
-                    &|v| r.valuation.probability(FactId(v)).clone(),
-                    eval_threads,
-                );
+                let exact = self.serve_exact(r.instance, &r.valuation, lineage, eval_threads)?;
                 self.counters
                     .exact_fallbacks
                     .fetch_add(1, Ordering::Relaxed);
                 self.record_request("threshold", DecisionTier::Exact, started, span);
-                Ok(Self::exact_decision(&exact, &r.threshold))
+                Ok(ThresholdDecision {
+                    above: exact > r.threshold,
+                    tier: DecisionTier::Exact,
+                    interval: ErrorInterval::from_rational(&exact),
+                })
             },
         ))
-    }
-
-    /// The exact tier's decision for a computed probability.
-    fn exact_decision(exact: &Rational, threshold: &Rational) -> ThresholdDecision {
-        ThresholdDecision {
-            above: exact > threshold,
-            tier: DecisionTier::Exact,
-            interval: ErrorInterval::from_rational(exact),
-        }
     }
 
     /// The Karp–Luby degradation path: serves a request whose exact
@@ -1716,25 +1547,27 @@ impl EvalSession {
     /// error). Seeded deterministically per (query, instance) pair.
     fn monte_carlo(
         &self,
-        r: &ProbabilityRequest,
+        query: QueryId,
+        instance: InstanceId,
+        valuation: &ProbabilityValuation,
         error: &EngineError,
     ) -> Option<(f64, ErrorInterval)> {
         let budget_exceeded = matches!(
             error,
             EngineError::QueryCompile(CompileError::StateBudget { .. })
         );
-        let float_first = self.backend == SessionBackend::FloatFirst || self.config.float_first;
-        if !budget_exceeded || !float_first {
+        if !budget_exceeded || !self.config.float_first {
             return None;
         }
+        self.check_valuation(instance, valuation);
         self.counters
             .monte_carlo_fallbacks
             .fetch_add(1, Ordering::Relaxed);
-        let seed = 0x9E37_79B9_7F4A_7C15u64 ^ ((r.query.0 as u64) << 32) ^ r.instance.0 as u64;
+        let seed = 0x9E37_79B9_7F4A_7C15u64 ^ ((query.0 as u64) << 32) ^ instance.0 as u64;
         let estimate = karp_luby_probability(
-            &self.queries[r.query.0],
-            &self.instances[r.instance.0].instance,
-            &r.valuation,
+            &self.queries[query.0],
+            &self.instances[instance.0].instance,
+            valuation,
             self.config.epsilon,
             self.config.delta,
             seed,
@@ -1752,101 +1585,54 @@ impl EvalSession {
         self.counters
             .requests
             .fetch_add(requests.len(), Ordering::Relaxed);
-        match self.backend {
-            SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                let artifacts = self.compile_pairs(requests.iter().map(|&(q, i)| (q.0, i.0)));
-                let unique: Vec<(usize, usize)> = artifacts.keys().copied().collect();
-                let eval_threads = self.eval_threads(unique.len());
-                let counts = run_tasks(
-                    self.config.threads,
-                    unique.len(),
-                    &self.config.telemetry,
-                    |k| {
-                        let started = self.timer();
-                        let span = self.request_span("model_count");
-                        let count = artifacts[&unique[k]]
-                            .clone()
-                            .map(|lineage| lineage.model_count(eval_threads));
-                        if count.is_ok() {
-                            self.record_request("model_count", DecisionTier::Exact, started, span);
-                        }
-                        count
-                    },
-                );
-                let by_pair: BTreeMap<(usize, usize), Result<BigUint, EngineError>> =
-                    unique.into_iter().zip(counts).collect();
-                let out: Vec<Result<BigUint, EngineError>> = requests
-                    .iter()
-                    .map(|&(q, i)| by_pair[&(q.0, i.0)].clone())
-                    .collect();
-                self.count_errors(&out);
-                out
-            }
-            SessionBackend::SharedDd => {
-                // Dedup here too: identical pairs would otherwise re-run
-                // the count serialized on the same shard lock.
-                let unique: Vec<(usize, usize)> = requests
-                    .iter()
-                    .map(|&(q, i)| (q.0, i.0))
-                    .collect::<BTreeSet<_>>()
-                    .into_iter()
-                    .collect();
-                let counts = run_tasks(
-                    self.config.threads,
-                    unique.len(),
-                    &self.config.telemetry,
-                    |k| {
-                        let started = self.timer();
-                        let span = self.request_span("model_count");
-                        let (q, i) = unique[k];
-                        let count =
-                            self.dd_evaluate(q, i, |manager, root| manager.count_models(root));
-                        if count.is_ok() {
-                            self.record_request("model_count", DecisionTier::Exact, started, span);
-                        }
-                        count
-                    },
-                );
-                let by_pair: BTreeMap<(usize, usize), Result<BigUint, EngineError>> =
-                    unique.into_iter().zip(counts).collect();
-                let out: Vec<Result<BigUint, EngineError>> = requests
-                    .iter()
-                    .map(|&(q, i)| by_pair[&(q.0, i.0)].clone())
-                    .collect();
-                self.count_errors(&out);
-                out
-            }
-        }
+        let artifacts = self.compile_pairs(requests.iter().copied());
+        let unique: Vec<(usize, usize)> = artifacts.keys().copied().collect();
+        let eval_threads = self.eval_threads(unique.len());
+        let counts = run_tasks(
+            self.config.threads,
+            unique.len(),
+            &self.config.telemetry,
+            |k| {
+                let started = self.timer();
+                let span = self.request_span("model_count");
+                let count = artifacts[&unique[k]]
+                    .clone()
+                    .map(|lineage| lineage.model_count(eval_threads));
+                if count.is_ok() {
+                    self.record_request("model_count", DecisionTier::Exact, started, span);
+                }
+                count
+            },
+        );
+        let by_pair: BTreeMap<(usize, usize), Result<BigUint, EngineError>> =
+            unique.into_iter().zip(counts).collect();
+        let out: Vec<Result<BigUint, EngineError>> = requests
+            .iter()
+            .map(|&(q, i)| by_pair[&(q.0, i.0)].clone())
+            .collect();
+        self.count_errors(&out);
+        out
     }
 
     /// Serves one probability request on the caller's thread and reports
-    /// *how*: backend and tier, what each cache layer contributed, compiled
+    /// *how*: the tier, what each cache layer contributed, compiled
     /// artifact sizes, and per-stage durations aggregated from the
     /// request's own trace (empty when telemetry is disabled). Unlike the
-    /// batch methods, a malformed request (unknown handle, short valuation)
-    /// is a typed [`EngineError::InvalidRequest`], not a worker panic.
+    /// batch methods, a short valuation is a typed
+    /// [`EngineError::InvalidRequest`], not a worker panic.
     ///
     /// The request is a real one — it counts into [`SessionStats`] and the
     /// `requests_total{kind="explain"}` series, warms the same caches, and
-    /// is served through the same tier policy as
-    /// [`EvalSession::batch_probability_f64`] (float-first backends answer
-    /// from the certified interval pass; exact backends exactly). The
-    /// cache-state fields report residency *before* this request ran.
+    /// is served by the same per-request code as
+    /// [`EvalSession::batch_probability_f64`] under
+    /// [`EngineConfig::float_first`] and as
+    /// [`EvalSession::batch_probability`] otherwise. The cache-state fields
+    /// report residency *before* this request ran.
     pub fn explain(&self, request: &ProbabilityRequest) -> Result<ExplainReport, EngineError> {
+        self.check_handles(request.query, request.instance)?;
         let q = request.query.0;
         let i = request.instance.0;
-        if q >= self.queries.len() {
-            return Err(EngineError::InvalidRequest(format!(
-                "unknown query handle {q} ({} registered)",
-                self.queries.len()
-            )));
-        }
-        let Some(entry) = self.instances.get(i) else {
-            return Err(EngineError::InvalidRequest(format!(
-                "unknown instance handle {i} ({} registered)",
-                self.instances.len()
-            )));
-        };
+        let entry = &self.instances[i];
         if request.valuation.len() != entry.instance.fact_count() {
             return Err(EngineError::InvalidRequest(format!(
                 "valuation covers {} facts but instance {i} has {}",
@@ -1862,14 +1648,7 @@ impl EvalSession {
             .map(|e| e.alphabet().width());
         let machine_cached =
             width.is_some_and(|w| lock_recovering(&self.machines).contains(&(q, w)));
-        let lineage_cached = match self.backend {
-            SessionBackend::SharedDd => lock_recovering(&entry.dd)
-                .as_ref()
-                .is_some_and(|shard| shard.roots.contains_key(&q)),
-            SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                lock_recovering(&self.lineages).contains(&(q, i))
-            }
-        };
+        let lineage_cached = lock_recovering(&self.lineages).contains(&(q, i));
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let started = self.timer();
         let span = self.request_span("explain");
@@ -1921,7 +1700,6 @@ impl EvalSession {
         }
         let stages = by_stage.into_values().collect();
         Ok(ExplainReport {
-            backend: self.backend.as_str(),
             tier,
             estimate,
             interval_width,
@@ -1932,7 +1710,6 @@ impl EvalSession {
             gates: artifact.gates,
             vtree_nodes: artifact.vtree_nodes,
             fragments: artifact.fragments,
-            dd_nodes: artifact.dd_nodes,
             trace,
             total_ns,
             unattributed_ns,
@@ -1941,91 +1718,62 @@ impl EvalSession {
     }
 
     /// The serving half of [`EvalSession::explain`]: answers the request
-    /// through the backend's usual tier policy and collects artifact sizes.
-    /// Runs with the request span open on the caller's stack, so every
-    /// compile/eval span parents into the request's trace.
+    /// through the batch methods' per-request tier code and collects
+    /// artifact sizes. Runs with the request span open on the caller's
+    /// stack, so every compile/eval span parents into the request's trace.
     fn explain_serve(
         &self,
         r: &ProbabilityRequest,
     ) -> Result<(DecisionTier, f64, f64, ArtifactStats), EngineError> {
-        let q = r.query.0;
-        let i = r.instance.0;
-        match self.backend {
-            SessionBackend::SharedDd => {
-                let (p, nodes) = self.dd_evaluate(q, i, |manager, root| {
-                    (
-                        manager.probability(root, &|v| r.valuation.probability(FactId(v)).clone()),
-                        manager.stats().node_count,
-                    )
-                })?;
-                let artifact = ArtifactStats {
-                    dd_nodes: Some(nodes),
-                    ..ArtifactStats::default()
-                };
-                Ok((DecisionTier::Exact, p.to_f64(), 0.0, artifact))
-            }
-            SessionBackend::Automaton | SessionBackend::FloatFirst => {
-                let lineage = match self.lineage(q, i, self.config.threads) {
-                    Ok(lineage) => lineage,
-                    Err(e) => {
-                        return match self.monte_carlo(r, &e) {
-                            Some((estimate, interval)) => Ok((
-                                DecisionTier::MonteCarlo,
-                                estimate,
-                                interval.width(),
-                                ArtifactStats::default(),
-                            )),
-                            None => Err(e),
-                        };
-                    }
-                };
-                let mut artifact = ArtifactStats {
-                    gates: Some(lineage.size()),
-                    vtree_nodes: Some(lineage.structured().vtree().node_count()),
-                    fragments: Some(lineage.partition().fragments().len()),
-                    ..ArtifactStats::default()
-                };
-                // The machine is resident after `lineage` succeeded; report
-                // its deterministic-state memo without rematerializing.
-                if let Some(w) = lock_recovering(&self.instances[i].encoding)
-                    .as_ref()
-                    .map(|e| e.alphabet().width())
-                {
-                    if let Some(machine) = lock_recovering(&self.machines).get(&(q, w)) {
-                        artifact.automaton_states = Some(lock_recovering(&machine).state_count());
-                    }
-                }
-                if self.backend == SessionBackend::FloatFirst {
-                    let interval = lineage.probability_interval(
-                        &|v| ErrorInterval::from_rational(r.valuation.probability(FactId(v))),
-                        self.config.threads,
-                    );
-                    Ok((
-                        DecisionTier::Float,
-                        interval.midpoint(),
-                        interval.width(),
-                        artifact,
-                    ))
-                } else {
-                    let p = lineage.probability(
-                        &|v| r.valuation.probability(FactId(v)).clone(),
-                        self.config.threads,
-                    );
-                    Ok((DecisionTier::Exact, p.to_f64(), 0.0, artifact))
+        let (q, i) = (r.query.0, r.instance.0);
+        let threads = self.config.threads;
+        let lineage = self.lineage(q, i, threads);
+        let mut artifact = ArtifactStats::default();
+        if let Ok(lineage) = &lineage {
+            artifact.gates = Some(lineage.size());
+            artifact.vtree_nodes = Some(lineage.structured().vtree().node_count());
+            artifact.fragments = Some(lineage.partition().fragments().len());
+            // The machine is resident after `lineage` succeeded; report its
+            // deterministic-state memo without rematerializing.
+            if let Some(w) = lock_recovering(&self.instances[i].encoding)
+                .as_ref()
+                .map(|e| e.alphabet().width())
+            {
+                if let Some(machine) = lock_recovering(&self.machines).get(&(q, w)) {
+                    artifact.automaton_states = Some(lock_recovering(&machine).state_count());
                 }
             }
+        }
+        if self.config.float_first {
+            let (tier, estimate, interval) =
+                self.serve_f64(r.query, r.instance, &r.valuation, &lineage, threads)?;
+            Ok((tier, estimate, interval.width(), artifact))
+        } else {
+            let p = self.serve_exact(r.instance, &r.valuation, &lineage, threads)?;
+            Ok((DecisionTier::Exact, p.to_f64(), 0.0, artifact))
         }
     }
 
     /// Compiles (or fetches) the lineage of every distinct (query,
-    /// instance) pair of a batch, in parallel across pairs. Inner subtree
-    /// parallelism is enabled only when the batch has a single pair —
-    /// otherwise the pair-level parallelism already saturates the pool.
+    /// instance) pair of a batch, in parallel across pairs. A pair naming
+    /// an unknown handle maps to its [`EngineError::InvalidRequest`]
+    /// without compiling. Inner subtree parallelism is enabled only when
+    /// the batch has a single valid pair — otherwise the pair-level
+    /// parallelism already saturates the pool.
     fn compile_pairs(
         &self,
-        pairs: impl Iterator<Item = (usize, usize)>,
+        pairs: impl Iterator<Item = (QueryId, InstanceId)>,
     ) -> BTreeMap<(usize, usize), Result<Arc<ParallelDnnf>, EngineError>> {
-        let unique: Vec<(usize, usize)> = pairs.collect::<BTreeSet<_>>().into_iter().collect();
+        let mut out = BTreeMap::new();
+        let mut unique: Vec<(usize, usize)> = Vec::new();
+        for (q, i) in pairs.collect::<BTreeSet<_>>() {
+            match self.check_handles(q, i) {
+                Ok(()) => unique.push((q.0, i.0)),
+                Err(e) => {
+                    out.insert((q.0, i.0), Err(e));
+                }
+            }
+        }
         let inner_threads = self.eval_threads(unique.len());
         let compiled = run_tasks(
             self.config.threads,
@@ -2041,7 +1789,28 @@ impl EvalSession {
                 self.lineage(unique[k].0, unique[k].1, inner_threads)
             },
         );
-        unique.into_iter().zip(compiled).collect()
+        out.extend(unique.into_iter().zip(compiled));
+        out
+    }
+
+    /// Rejects a query or instance handle this session never issued, as
+    /// [`EngineError::InvalidRequest`].
+    fn check_handles(&self, query: QueryId, instance: InstanceId) -> Result<(), EngineError> {
+        if query.0 >= self.queries.len() {
+            return Err(EngineError::InvalidRequest(format!(
+                "unknown query handle {} ({} registered)",
+                query.0,
+                self.queries.len()
+            )));
+        }
+        if instance.0 >= self.instances.len() {
+            return Err(EngineError::InvalidRequest(format!(
+                "unknown instance handle {} ({} registered)",
+                instance.0,
+                self.instances.len()
+            )));
+        }
+        Ok(())
     }
 
     /// Inner (per-task) thread count: full fan-out for a lone task, no
@@ -2126,20 +1895,7 @@ impl EvalSession {
         query: QueryId,
         instance: InstanceId,
     ) -> Result<Arc<ParallelDnnf>, EngineError> {
-        if query.0 >= self.queries.len() {
-            return Err(EngineError::InvalidRequest(format!(
-                "unknown query handle {} ({} registered)",
-                query.0,
-                self.queries.len()
-            )));
-        }
-        if instance.0 >= self.instances.len() {
-            return Err(EngineError::InvalidRequest(format!(
-                "unknown instance handle {} ({} registered)",
-                instance.0,
-                self.instances.len()
-            )));
-        }
+        self.check_handles(query, instance)?;
         self.lineage(query.0, instance.0, self.config.threads)
     }
 
@@ -2156,11 +1912,7 @@ impl EvalSession {
         query: QueryId,
         instance: InstanceId,
     ) -> Result<ParallelDnnf, EngineError> {
-        if query.0 >= self.queries.len() || instance.0 >= self.instances.len() {
-            return Err(EngineError::InvalidRequest(
-                "unknown query or instance handle".to_string(),
-            ));
-        }
+        self.check_handles(query, instance)?;
         let entry = &self.instances[instance.0];
         let encoding = treelineage_encoding::encode_traced(
             &entry.instance,
@@ -2229,85 +1981,13 @@ impl EvalSession {
         lock_recovering(&self.machines).insert((query, width), arc.clone());
         Ok(arc)
     }
-
-    /// Runs `eval` on the (query, instance) root in the instance's dd
-    /// shard, compiling the lineage into the shard on first use. The shard
-    /// lock is held for the duration — contention is per instance, not per
-    /// session.
-    fn dd_evaluate<T>(
-        &self,
-        query: usize,
-        instance: usize,
-        eval: impl FnOnce(&Manager, treelineage_dd::NodeId) -> T,
-    ) -> Result<T, EngineError> {
-        let entry = &self.instances[instance];
-        let mut slot = lock_recovering(&entry.dd);
-        let shard = slot.get_or_insert_with(|| {
-            let mut order =
-                variable_order_from_decomposition(&entry.instance, &entry.decomposition);
-            let present: BTreeSet<usize> = order.iter().copied().collect();
-            for f in entry.instance.fact_ids() {
-                if !present.contains(&f.0) {
-                    order.push(f.0);
-                }
-            }
-            DdShard {
-                manager: Manager::new(order),
-                roots: BTreeMap::new(),
-            }
-        });
-        let root = match shard.roots.get(&query) {
-            Some(&root) => {
-                self.counters.lineage_hits.fetch_add(1, Ordering::Relaxed);
-                root
-            }
-            None => {
-                self.counters.lineage_misses.fetch_add(1, Ordering::Relaxed);
-                self.counters.dd_roots_built.fetch_add(1, Ordering::Relaxed);
-                let circuit = match_circuit(&self.queries[query], &entry.instance);
-                let root = shard.manager.compile_circuit(&circuit);
-                shard.roots.insert(query, root);
-                root
-            }
-        };
-        Ok(eval(&shard.manager, root))
-    }
-}
-
-/// The monotone lineage circuit of the query on the instance: the
-/// disjunction over matches of the conjunction of their facts (the same
-/// circuit `treelineage-core`'s `LineageBuilder::circuit` builds).
-fn match_circuit(
-    query: &UnionOfConjunctiveQueries,
-    instance: &Instance,
-) -> treelineage_circuit::Circuit {
-    use treelineage_circuit::{Circuit, GateId};
-    let mut circuit = Circuit::new();
-    let matches = matching::all_matches(query, instance);
-    let mut disjuncts: Vec<GateId> = Vec::with_capacity(matches.len());
-    for m in &matches {
-        let conj: Vec<GateId> = m.iter().map(|f| circuit.var(f.0)).collect();
-        let gate = if conj.len() == 1 {
-            conj[0]
-        } else {
-            circuit.and(conj)
-        };
-        disjuncts.push(gate);
-    }
-    let output = match disjuncts.len() {
-        0 => circuit.constant(false),
-        1 => disjuncts[0],
-        _ => circuit.or(disjuncts),
-    };
-    circuit.set_output(output);
-    circuit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use treelineage_instance::Signature;
-    use treelineage_query::parse_query;
+    use treelineage_query::{matching, parse_query};
 
     fn rst() -> Signature {
         Signature::builder()
@@ -2327,19 +2007,34 @@ mod tests {
         inst
     }
 
-    fn session_with(backend: SessionBackend) -> (EvalSession, QueryId, InstanceId) {
-        let mut session = EvalSession::with_backend(EngineConfig::with_threads(2), backend);
+    fn session_with(float_first: bool) -> (EvalSession, QueryId, InstanceId) {
+        let mut session = EvalSession::new(EngineConfig {
+            float_first,
+            ..EngineConfig::with_threads(2)
+        });
         let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
         let i = session.register_instance(chain(4));
         (session, q, i)
     }
 
+    /// The oracle the session is checked against, independent of every
+    /// compiled representation: the summed probability of the possible
+    /// worlds that satisfy the query.
+    fn brute_force(
+        session: &EvalSession,
+        q: QueryId,
+        i: InstanceId,
+        valuation: &ProbabilityValuation,
+    ) -> Rational {
+        let (query, instance) = (&session.queries[q.0], session.instance(i));
+        valuation.probability_of(|world| matching::satisfied_in_world(query, instance, world))
+    }
+
     #[test]
     fn batches_agree_across_backends_and_hit_the_caches() {
-        let (auto, q, i) = session_with(SessionBackend::Automaton);
-        let (dd, q2, i2) = session_with(SessionBackend::SharedDd);
+        let (session, q, i) = session_with(false);
         let valuation =
-            ProbabilityValuation::uniform(auto.instance(i), Rational::from_ratio_u64(1, 3));
+            ProbabilityValuation::uniform(session.instance(i), Rational::from_ratio_u64(1, 3));
         let requests: Vec<ProbabilityRequest> = (0..6)
             .map(|_| ProbabilityRequest {
                 query: q,
@@ -2347,41 +2042,38 @@ mod tests {
                 valuation: valuation.clone(),
             })
             .collect();
-        let got_auto = auto.batch_probability(&requests);
-        let requests_dd: Vec<ProbabilityRequest> = requests
-            .iter()
-            .map(|r| ProbabilityRequest {
-                query: q2,
-                instance: i2,
-                ..r.clone()
-            })
-            .collect();
-        let got_dd = dd.batch_probability(&requests_dd);
-        assert_eq!(got_auto, got_dd);
-        assert!(got_auto.iter().all(|r| r == &got_auto[0]));
-        // Six requests, one distinct pair: exactly one compile each.
-        assert_eq!(auto.stats().lineage_misses, 1);
-        assert_eq!(dd.stats().dd_roots_built, 1);
+        let got = session.batch_probability(&requests);
+        let expected = brute_force(&session, q, i, &valuation);
+        assert!(got.iter().all(|r| r.as_ref() == Ok(&expected)));
+        // Six requests, one distinct pair: exactly one compile.
+        assert_eq!(session.stats().lineage_misses, 1);
         // Second batch: pure cache hits.
-        let again = auto.batch_probability(&requests);
-        assert_eq!(again, got_auto);
-        assert_eq!(auto.stats().lineage_misses, 1);
-        assert!(auto.stats().lineage_hits >= 1);
+        let again = session.batch_probability(&requests);
+        assert_eq!(again, got);
+        assert_eq!(session.stats().lineage_misses, 1);
+        assert!(session.stats().lineage_hits >= 1);
     }
 
     #[test]
     fn model_counts_match_across_backends() {
-        let (auto, q, i) = session_with(SessionBackend::Automaton);
-        let (dd, q2, i2) = session_with(SessionBackend::SharedDd);
-        let a = auto.batch_model_count(&[(q, i), (q, i)]);
-        let d = dd.batch_model_count(&[(q2, i2)]);
-        assert_eq!(a[0], a[1]);
-        assert_eq!(a[0], d[0]);
+        let (session, q, i) = session_with(false);
+        let counts = session.batch_model_count(&[(q, i), (q, i)]);
+        assert_eq!(counts[0], counts[1]);
+        // Under the all-1/2 valuation every world weighs 2^-n, so the
+        // model count is the world-enumeration probability times 2^n.
+        let half = ProbabilityValuation::all_one_half(session.instance(i));
+        let worlds = Rational::from_ratio_u64(1 << session.instance(i).fact_count(), 1);
+        assert_eq!(
+            Rational::from_biguint(counts[0].clone().unwrap()),
+            brute_force(&session, q, i, &half) * worlds
+        );
+        // The duplicated pair compiled once.
+        assert_eq!(session.stats().lineage_misses, 1);
     }
 
     #[test]
     fn wmc_batches_with_general_weights() {
-        let (session, q, i) = session_with(SessionBackend::Automaton);
+        let (session, q, i) = session_with(false);
         let n = session.instance(i).fact_count();
         let pos: Vec<Rational> = (0..n)
             .map(|f| Rational::from_ratio_u64(f as u64 + 2, 3))
@@ -2457,7 +2149,7 @@ mod tests {
 
     #[test]
     fn panicking_request_leaves_session_usable() {
-        let (session, q, i) = session_with(SessionBackend::Automaton);
+        let (session, q, i) = session_with(false);
         let good = ProbabilityValuation::uniform(session.instance(i), Rational::one_half());
         // A valuation over the wrong instance: too short, so the worker
         // task serving this request panics on the coverage assertion.
@@ -2492,7 +2184,7 @@ mod tests {
 
     #[test]
     fn float_interval_contains_exact_probability() {
-        let (session, q, i) = session_with(SessionBackend::FloatFirst);
+        let (session, q, i) = session_with(true);
         let n = session.instance(i).fact_count();
         let probs: Vec<Rational> = (0..n)
             .map(|f| Rational::from_ratio_u64(1, (f as u64 % 3) + 2))
@@ -2516,8 +2208,8 @@ mod tests {
 
     #[test]
     fn float_first_threshold_decisions_match_exact_backend() {
-        let (float, qf, inf) = session_with(SessionBackend::FloatFirst);
-        let (exact, qe, ine) = session_with(SessionBackend::Automaton);
+        let (float, qf, inf) = session_with(true);
+        let (exact, qe, ine) = session_with(false);
         let valuation =
             ProbabilityValuation::uniform(float.instance(inf), Rational::from_ratio_u64(1, 3));
         let p = exact.batch_probability(&[ProbabilityRequest {
@@ -2569,72 +2261,100 @@ mod tests {
         // A state budget of 1 is unsatisfiable for any real query: the
         // exact pipeline fails with StateBudget, and the float-first
         // session degrades to Karp–Luby instead of surfacing the error.
-        let config = EngineConfig {
-            state_budget: 1,
-            epsilon: 0.02,
-            delta: 0.02,
-            ..EngineConfig::default()
+        let session_on = |float_first: bool, state_budget: usize| {
+            let mut session = EvalSession::new(EngineConfig {
+                state_budget,
+                epsilon: 0.02,
+                delta: 0.02,
+                float_first,
+                ..EngineConfig::default()
+            });
+            let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
+            let i = session.register_instance(chain(2));
+            let valuation =
+                ProbabilityValuation::uniform(session.instance(i), Rational::from_ratio_u64(1, 3));
+            let request = ProbabilityRequest {
+                query: q,
+                instance: i,
+                valuation,
+            };
+            (session, request)
         };
-        let mut session = EvalSession::with_backend(config, SessionBackend::FloatFirst);
-        let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
-        let i = session.register_instance(chain(2));
-        let valuation =
-            ProbabilityValuation::uniform(session.instance(i), Rational::from_ratio_u64(1, 3));
-        let request = ProbabilityRequest {
-            query: q,
-            instance: i,
-            valuation: valuation.clone(),
+        let threshold = |r: &ProbabilityRequest| ThresholdRequest {
+            query: r.query,
+            instance: r.instance,
+            valuation: r.valuation.clone(),
+            threshold: Rational::one_half(),
         };
+        let is_budget_error = |e: &EngineError| {
+            matches!(
+                e,
+                EngineError::QueryCompile(CompileError::StateBudget { .. })
+            )
+        };
+        let (session, request) = session_on(true, 1);
         // The exact API still surfaces the compile error...
         let exact_result = session.batch_probability(std::slice::from_ref(&request));
-        assert!(matches!(
-            exact_result[0],
-            Err(EngineError::QueryCompile(CompileError::StateBudget { .. }))
-        ));
+        assert!(is_budget_error(exact_result[0].as_ref().unwrap_err()));
         // ...but the approximate APIs serve the request.
         let (estimate, interval) = session.batch_probability_f64(std::slice::from_ref(&request))[0]
             .clone()
             .unwrap();
         assert!(interval.contains_f64(estimate));
         assert!(session.stats().monte_carlo_fallbacks >= 1);
-        let decision = session.batch_threshold(&[ThresholdRequest {
-            query: q,
-            instance: i,
-            valuation,
-            threshold: Rational::one_half(),
-        }])[0]
+        let decision = session.batch_threshold(&[threshold(&request)])[0]
             .clone()
             .unwrap();
         assert_eq!(decision.tier, DecisionTier::MonteCarlo);
+        assert_eq!(
+            session.explain(&request).unwrap().tier,
+            DecisionTier::MonteCarlo
+        );
         // Sanity: the estimate agrees with an exact session on the same
         // (query, instance, weights) triple.
-        let exact_session = {
-            let mut s = EvalSession::new(EngineConfig::default());
-            let q = s.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
-            let i = s.register_instance(chain(2));
-            let v = ProbabilityValuation::uniform(s.instance(i), Rational::from_ratio_u64(1, 3));
-            s.batch_probability(&[ProbabilityRequest {
-                query: q,
-                instance: i,
-                valuation: v,
-            }])[0]
-                .clone()
-                .unwrap()
-        };
-        let exact_f = exact_session.to_f64();
+        let (exact_session, exact_request) =
+            session_on(false, EngineConfig::default().state_budget);
+        let exact_f = exact_session.batch_probability(std::slice::from_ref(&exact_request))[0]
+            .clone()
+            .unwrap()
+            .to_f64();
         assert!(
             (estimate - exact_f).abs() <= 0.02 * exact_f,
             "Karp–Luby estimate {estimate} vs exact {exact_f}"
         );
         assert_eq!(decision.above, exact_f > 0.5);
+
+        // Exact-only (`float_first: false`): no API degrades; every one
+        // surfaces the budget error and Karp–Luby never runs.
+        let (session, request) = session_on(false, 1);
+        let f64_result = session.batch_probability_f64(std::slice::from_ref(&request));
+        assert!(is_budget_error(f64_result[0].as_ref().unwrap_err()));
+        let threshold_result = session.batch_threshold(&[threshold(&request)]);
+        assert!(is_budget_error(threshold_result[0].as_ref().unwrap_err()));
+        assert!(is_budget_error(&session.explain(&request).unwrap_err()));
+        assert_eq!(session.stats().monte_carlo_fallbacks, 0);
+
+        // On a satisfiable budget the same switch picks the threshold tier:
+        // Float when float-first (1/2 lies well outside the enclosure of
+        // the exact answer), Exact otherwise.
+        let budget = EngineConfig::default().state_budget;
+        for (float_first, tier) in [(true, DecisionTier::Float), (false, DecisionTier::Exact)] {
+            let (session, request) = session_on(float_first, budget);
+            let decision = session.batch_threshold(&[threshold(&request)])[0]
+                .clone()
+                .unwrap();
+            assert_eq!(decision.tier, tier, "float_first = {float_first}");
+            assert_eq!(decision.above, exact_f > 0.5);
+        }
     }
 
-    fn traced_session(backend: SessionBackend) -> (EvalSession, QueryId, InstanceId) {
+    fn traced_session(float_first: bool) -> (EvalSession, QueryId, InstanceId) {
         let config = EngineConfig {
             telemetry: treelineage_telemetry::Telemetry::enabled(),
+            float_first,
             ..EngineConfig::with_threads(2)
         };
-        let mut session = EvalSession::with_backend(config, backend);
+        let mut session = EvalSession::new(config);
         let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
         let i = session.register_instance(chain(4));
         (session, q, i)
@@ -2642,7 +2362,7 @@ mod tests {
 
     #[test]
     fn explain_reports_caches_tier_and_stages() {
-        let (session, q, i) = traced_session(SessionBackend::Automaton);
+        let (session, q, i) = traced_session(false);
         let valuation =
             ProbabilityValuation::uniform(session.instance(i), Rational::from_ratio_u64(1, 3));
         let request = ProbabilityRequest {
@@ -2651,13 +2371,12 @@ mod tests {
             valuation,
         };
         let cold = session.explain(&request).unwrap();
-        assert_eq!(cold.backend, "automaton");
         assert_eq!(cold.tier, DecisionTier::Exact);
         assert!(!cold.encoding_cached && !cold.machine_cached && !cold.lineage_cached);
         assert!(cold.gates.unwrap() > 0);
         assert!(cold.vtree_nodes.unwrap() > 0);
         assert!(cold.automaton_states.unwrap() > 0);
-        assert!(cold.fragments.is_some() && cold.dd_nodes.is_none());
+        assert!(cold.fragments.is_some());
         assert_eq!(cold.interval_width, 0.0);
         // The request's own trace saw the cold compile stages.
         assert!(cold.trace.is_some());
@@ -2679,8 +2398,8 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.lineage_misses, 1);
-        // The float-first backend serves explain from the interval tier.
-        let (float_session, fq, fi) = traced_session(SessionBackend::FloatFirst);
+        // A float-first session serves explain from the interval tier.
+        let (float_session, fq, fi) = traced_session(true);
         let float_request = ProbabilityRequest {
             query: fq,
             instance: fi,
@@ -2690,33 +2409,21 @@ mod tests {
         assert_eq!(float_report.tier, DecisionTier::Float);
         assert!(float_report.interval_width > 0.0);
         assert!((float_report.estimate - exact.to_f64()).abs() <= float_report.interval_width);
-        // And SharedDd reports its shard size instead of circuit sizes.
-        let (dd_session, dq, di) = traced_session(SessionBackend::SharedDd);
-        let dd_report = dd_session
-            .explain(&ProbabilityRequest {
-                query: dq,
-                instance: di,
-                valuation: request.valuation.clone(),
-            })
-            .unwrap();
-        assert_eq!(dd_report.tier, DecisionTier::Exact);
-        assert!(dd_report.dd_nodes.unwrap() > 0);
-        assert!(dd_report.gates.is_none());
-        assert_eq!(dd_report.estimate, exact.to_f64());
     }
 
-    /// A traced session on `backend` with one chain-40 request registered.
-    /// The chain is long enough for the 2-thread plan to cut fragments, so
-    /// at `threads = 2` the fragment-parallel branch of a pass is traced.
+    /// A traced session with one chain-40 request registered. The chain is
+    /// long enough for the 2-thread plan to cut fragments, so at
+    /// `threads = 2` the fragment-parallel branch of a pass is traced.
     fn traced_chain_session(
-        backend: SessionBackend,
+        float_first: bool,
         threads: usize,
     ) -> (EvalSession, ProbabilityRequest) {
         let config = EngineConfig {
             telemetry: treelineage_telemetry::Telemetry::enabled(),
+            float_first,
             ..EngineConfig::with_threads(threads)
         };
-        let mut session = EvalSession::with_backend(config, backend);
+        let mut session = EvalSession::new(config);
         let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
         let i = session.register_instance(chain(40));
         let request = ProbabilityRequest {
@@ -2747,7 +2454,7 @@ mod tests {
     #[test]
     fn warm_exact_explain_lists_the_eval_exact_stage() {
         for threads in [1usize, 2] {
-            let (session, request) = traced_chain_session(SessionBackend::Automaton, threads);
+            let (session, request) = traced_chain_session(false, threads);
             let exact = session.batch_probability(std::slice::from_ref(&request))[0]
                 .clone()
                 .unwrap();
@@ -2764,7 +2471,7 @@ mod tests {
         // One thread: every span nests on the caller's stack, so the self
         // times of the stages and the request's unattributed rest add up
         // to the request's duration exactly.
-        let (session, request) = traced_chain_session(SessionBackend::Automaton, 1);
+        let (session, request) = traced_chain_session(false, 1);
         let cold = session.explain(&request).unwrap();
         assert!(!cold.lineage_cached);
         assert!(cold.stages.iter().any(|s| s.name == "dsdnnf_compile"));
@@ -2772,7 +2479,7 @@ mod tests {
         assert_eq!(self_sum + cold.unattributed_ns, cold.total_ns);
         // Fragment-parallel: `eval_fragment` spans nest inside `eval_exact`,
         // so its self time excludes theirs.
-        let (session, request) = traced_chain_session(SessionBackend::Automaton, 2);
+        let (session, request) = traced_chain_session(false, 2);
         session.explain(&request).unwrap();
         let warm = session.explain(&request).unwrap();
         let stage = |name: &str| warm.stages.iter().find(|s| s.name == name).unwrap();
@@ -2785,7 +2492,7 @@ mod tests {
     #[test]
     fn warm_float_explain_lists_the_eval_interval_stage() {
         for threads in [1usize, 2] {
-            let (session, request) = traced_chain_session(SessionBackend::FloatFirst, threads);
+            let (session, request) = traced_chain_session(true, threads);
             let (estimate, interval) = session
                 .batch_probability_f64(std::slice::from_ref(&request))[0]
                 .clone()
@@ -2802,7 +2509,7 @@ mod tests {
 
     #[test]
     fn explain_rejects_malformed_requests_without_panicking() {
-        let (session, q, i) = session_with(SessionBackend::Automaton);
+        let (session, q, i) = session_with(false);
         let short = ProbabilityRequest {
             query: q,
             instance: i,
@@ -2827,9 +2534,74 @@ mod tests {
     }
 
     #[test]
+    fn unknown_handles_fail_only_their_own_requests() {
+        // Handles another session issued: the batch must not panic, the
+        // bad request gets a typed error, and its neighbours are served.
+        let (session, q, i) = session_with(true);
+        let valuation = ProbabilityValuation::uniform(session.instance(i), Rational::one_half());
+        let pairs = [(q, i), (q, InstanceId(7)), (QueryId(9), i)];
+        let is_invalid = |e: &EngineError| matches!(e, EngineError::InvalidRequest(_));
+        let probability: Vec<ProbabilityRequest> = pairs
+            .iter()
+            .map(|&(query, instance)| ProbabilityRequest {
+                query,
+                instance,
+                valuation: valuation.clone(),
+            })
+            .collect();
+        let exact = session.batch_probability(&probability);
+        let f64s = session.batch_probability_f64(&probability);
+        let thresholds = session.batch_threshold(
+            &probability
+                .iter()
+                .map(|r| ThresholdRequest {
+                    query: r.query,
+                    instance: r.instance,
+                    valuation: r.valuation.clone(),
+                    threshold: Rational::one_half(),
+                })
+                .collect::<Vec<_>>(),
+        );
+        let ones = vec![Rational::one(); valuation.len()];
+        let wmc = session.batch_wmc(
+            &pairs
+                .iter()
+                .map(|&(query, instance)| WmcRequest {
+                    query,
+                    instance,
+                    pos: ones.clone(),
+                    neg: ones.clone(),
+                })
+                .collect::<Vec<_>>(),
+        );
+        let counts = session.batch_model_count(&pairs);
+        assert!(exact[0].is_ok() && f64s[0].is_ok() && thresholds[0].is_ok());
+        assert!(wmc[0].is_ok() && counts[0].is_ok());
+        for k in 1..pairs.len() {
+            assert!(is_invalid(exact[k].as_ref().unwrap_err()), "{k}");
+            assert!(is_invalid(f64s[k].as_ref().unwrap_err()), "{k}");
+            assert!(is_invalid(thresholds[k].as_ref().unwrap_err()), "{k}");
+            assert!(is_invalid(wmc[k].as_ref().unwrap_err()), "{k}");
+            assert!(is_invalid(counts[k].as_ref().unwrap_err()), "{k}");
+        }
+        // The same rejection as the single-request entry points.
+        assert!(is_invalid(&session.explain(&probability[1]).unwrap_err()));
+        assert!(is_invalid(
+            &session.lineage_artifact(q, InstanceId(7)).unwrap_err()
+        ));
+        assert!(is_invalid(
+            &session.cold_lineage(QueryId(9), i).unwrap_err()
+        ));
+        // Rejected, not panicked; one compile served every valid request.
+        let stats = session.stats();
+        assert_eq!(stats.worker_panics, 0);
+        assert_eq!(stats.errors, 10);
+        assert_eq!(stats.lineage_misses, 1);
+    }
+
+    #[test]
     fn explain_report_renders_stable_json() {
         let report = ExplainReport {
-            backend: "automaton",
             tier: DecisionTier::Exact,
             estimate: 0.25,
             interval_width: 0.0,
@@ -2840,7 +2612,6 @@ mod tests {
             gates: Some(42),
             vtree_nodes: Some(21),
             fragments: Some(3),
-            dd_nodes: None,
             trace: Some(7),
             total_ns: 1_500,
             unattributed_ns: 100,
@@ -2853,7 +2624,7 @@ mod tests {
         };
         assert_eq!(
             report.to_json(),
-            "{\"backend\":\"automaton\",\"tier\":\"exact\",\"estimate\":0.25,\
+            "{\"tier\":\"exact\",\"estimate\":0.25,\
              \"interval_width\":0.0,\
              \"cache\":{\"encoding\":true,\"machine\":false,\"lineage\":true},\
              \"artifact\":{\"automaton_states\":5,\"gates\":42,\"vtree_nodes\":21,\"fragments\":3},\
@@ -2870,7 +2641,7 @@ mod tests {
             flight_recorder_threshold_ns: 0,
             ..EngineConfig::with_threads(2)
         };
-        let mut session = EvalSession::with_backend(config, SessionBackend::Automaton);
+        let mut session = EvalSession::new(config);
         let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
         let i = session.register_instance(chain(4));
         let valuation =
@@ -2900,13 +2671,10 @@ mod tests {
             assert!(entry.spans.iter().all(|e| e.trace == entry.trace));
         }
         // Telemetry disabled: the recorder stays inert.
-        let quiet = EvalSession::with_backend(
-            EngineConfig {
-                flight_recorder_threshold_ns: 0,
-                ..EngineConfig::default()
-            },
-            SessionBackend::Automaton,
-        );
+        let quiet = EvalSession::new(EngineConfig {
+            flight_recorder_threshold_ns: 0,
+            ..EngineConfig::default()
+        });
         assert!(quiet.slow_requests().is_empty());
     }
 
@@ -2934,7 +2702,7 @@ mod tests {
 
     #[test]
     fn updates_validate_with_typed_errors_and_track_epochs() {
-        let (mut session, _q, i) = session_with(SessionBackend::Automaton);
+        let (mut session, _q, i) = session_with(false);
         let sig = rst();
         let r = sig.relation_by_name("R").unwrap();
         let s = sig.relation_by_name("S").unwrap();
@@ -3050,7 +2818,7 @@ mod tests {
             fragment_grain: 4,
             ..EngineConfig::with_threads(2)
         };
-        let mut session = EvalSession::with_backend(config, SessionBackend::Automaton);
+        let mut session = EvalSession::new(config);
         let q = session.register_query(parse_query(&rst(), "R(x), S(x, y), T(y)").unwrap());
         let i = session.register_instance(chain(6));
         let request = |session: &EvalSession| ProbabilityRequest {
@@ -3129,7 +2897,7 @@ mod tests {
 
     #[test]
     fn set_probability_keeps_every_cache_layer_resident() {
-        let (mut session, q, i) = session_with(SessionBackend::Automaton);
+        let (mut session, q, i) = session_with(false);
         let first = session.batch_probability(&[ProbabilityRequest {
             query: q,
             instance: i,
@@ -3154,41 +2922,5 @@ mod tests {
             .unwrap();
         assert_eq!(session.stats().lineage_misses, misses, "must hit the cache");
         assert_ne!(first, second, "the reweighted answer must move");
-    }
-
-    #[test]
-    fn updates_invalidate_dd_shards_too() {
-        let (mut session, q, i) = session_with(SessionBackend::SharedDd);
-        let valuation = session.valuation(i).clone();
-        let first = session.batch_probability(&[ProbabilityRequest {
-            query: q,
-            instance: i,
-            valuation,
-        }])[0]
-            .clone()
-            .unwrap();
-        assert_eq!(session.cache_occupancy().dd_shards, 1);
-        // Retracting R(0) removes a match, so the answer must move.
-        session.retract_fact(i, FactId(0)).unwrap();
-        assert_eq!(session.cache_occupancy().dd_shards, 0, "shard must drop");
-        let second = session.batch_probability(&[ProbabilityRequest {
-            query: q,
-            instance: i,
-            valuation: session.valuation(i).clone(),
-        }])[0]
-            .clone()
-            .unwrap();
-        assert_ne!(first, second);
-        // Cross-check against the automaton backend on the same updates.
-        let (mut auto, q2, i2) = session_with(SessionBackend::Automaton);
-        auto.retract_fact(i2, FactId(0)).unwrap();
-        let expected = auto.batch_probability(&[ProbabilityRequest {
-            query: q2,
-            instance: i2,
-            valuation: auto.valuation(i2).clone(),
-        }])[0]
-            .clone()
-            .unwrap();
-        assert_eq!(second, expected);
     }
 }

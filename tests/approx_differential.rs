@@ -7,8 +7,8 @@
 //!
 //! * **containment** — `query_probability_f64`'s certified interval always
 //!   contains the exact rational probability, on every lineage backend;
-//! * **decision fidelity** — a [`SessionBackend::FloatFirst`] session's
-//!   threshold decisions are bit-identical to the exact backend's, even
+//! * **decision fidelity** — a float-first session's threshold decisions
+//!   are bit-identical to an exact-only session's, even
 //!   when the threshold lands inside the interval (the exact-fallback
 //!   trigger);
 //! * **bounded degradation** — the Karp–Luby estimator at `(ε, δ) =
@@ -99,8 +99,8 @@ proptest! {
         }
     }
 
-    /// A FloatFirst session decides thresholds bit-identically to the exact
-    /// backend: the float tier answers whenever its interval resolves the
+    /// A float-first session decides thresholds bit-identically to an
+    /// exact-only one: the float tier answers whenever its interval resolves the
     /// comparison, and the exact fallback covers the rest — including a
     /// threshold equal to the exact answer, which always lands inside the
     /// interval.
@@ -113,11 +113,15 @@ proptest! {
         let q = queries()[qi].clone();
         let valuation =
             ProbabilityValuation::uniform(&inst, Rational::from_ratio_u64(1, 3));
-        let mut sessions: Vec<EvalSession> =
-            [SessionBackend::FloatFirst, SessionBackend::Automaton]
-                .into_iter()
-                .map(|b| EvalSession::with_backend(EngineConfig::with_threads(2), b))
-                .collect();
+        let mut sessions: Vec<EvalSession> = [true, false]
+            .into_iter()
+            .map(|float_first| {
+                EvalSession::new(EngineConfig {
+                    float_first,
+                    ..EngineConfig::with_threads(2)
+                })
+            })
+            .collect();
         let mut decisions = Vec::new();
         let mut exact_answers = Vec::new();
         for session in &mut sessions {
@@ -156,7 +160,7 @@ proptest! {
             let f = f.as_ref().unwrap();
             let e = e.as_ref().unwrap();
             prop_assert_eq!(f.above, e.above, "threshold {}", k);
-            // The exact backend never leaves the exact tier; the float
+            // The exact-only session never leaves the exact tier; the float
             // session must fall back on the inside-the-interval threshold.
             prop_assert_eq!(e.tier, DecisionTier::Exact);
             if k == 3 {

@@ -145,7 +145,7 @@ proptest! {
     }
 
     /// `EvalSession` cache correctness: a cold compile and a cache hit
-    /// return exactly the same batch results, for both session backends.
+    /// return exactly the same batch results.
     #[test]
     fn session_cache_hits_equal_cold_results(
         (inst, td) in instance_strategies::treelike_instance_with_decomposition(sig(), 7, 2),
@@ -155,9 +155,8 @@ proptest! {
         let q = queries()[qi].clone();
         let probs: Vec<f64> = (0..inst.fact_count()).map(|i| [0.5, 0.25, 0.75][i % 3]).collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
-        for backend in [SessionBackend::Automaton, SessionBackend::SharedDd] {
-            let mut session =
-                EvalSession::with_backend(EngineConfig::with_threads(2), backend);
+        {
+            let mut session = EvalSession::new(EngineConfig::with_threads(2));
             let qid = session.register_query(q.clone());
             let iid = session
                 .register_instance_with_decomposition(inst.clone(), td.clone())
@@ -173,7 +172,7 @@ proptest! {
             let stats_cold = session.stats();
             let warm = session.batch_probability(&requests);
             let stats_warm = session.stats();
-            prop_assert_eq!(&cold, &warm, "{:?}", backend);
+            prop_assert_eq!(&cold, &warm);
             // The warm batch compiled nothing new.
             prop_assert_eq!(stats_cold.lineage_misses, stats_warm.lineage_misses);
             prop_assert!(stats_warm.lineage_hits > stats_cold.lineage_hits);

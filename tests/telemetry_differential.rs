@@ -5,8 +5,8 @@
 //!
 //! * **byte-identical artifacts** — compiling with an enabled [`Telemetry`]
 //!   sink produces gate-for-gate, vtree-node-for-vtree-node the artifact of
-//!   the disabled (default) sink, at `threads ∈ {1, 8}`; on the shared-dd
-//!   backend the per-shard node counts and all answers are equal too;
+//!   the disabled (default) sink, at `threads ∈ {1, 8}`, and session
+//!   answers are equal too;
 //! * **counter monotonicity** — request and cache counters only grow across
 //!   repeated batches, and grow by exactly the batch size where the schema
 //!   promises it;
@@ -98,8 +98,7 @@ proptest! {
     }
 
     /// End-to-end session runs: equal batch answers with telemetry on and
-    /// off, on both session backends — and equal dd-shard node counts (the
-    /// shared-dd artifact, observed through the new stats surface).
+    /// off.
     #[test]
     fn session_answers_ignore_telemetry(
         (inst, td) in instance_strategies::treelike_instance_with_decomposition(sig(), 7, 2),
@@ -109,10 +108,9 @@ proptest! {
             (0..inst.fact_count()).map(|i| [0.5, 0.25, 0.75][i % 3]).collect();
         let valuation = ProbabilityValuation::from_f64(&inst, &probs);
         for threads in [1usize, 8] {
-            for backend in [SessionBackend::Automaton, SessionBackend::SharedDd] {
+            {
                 let run = |telemetry: Telemetry| {
-                    let mut session =
-                        EvalSession::with_backend(config(threads, telemetry), backend);
+                    let mut session = EvalSession::new(config(threads, telemetry));
                     let qid = session.register_query(query());
                     let iid = session
                         .register_instance_with_decomposition(inst.clone(), td.clone())
@@ -126,16 +124,11 @@ proptest! {
                         .collect();
                     let answers = session.batch_probability(&requests);
                     let counts = session.batch_model_count(&[(qid, iid)]);
-                    let shards: Vec<usize> = session
-                        .dd_shard_stats()
-                        .into_iter()
-                        .map(|(_, s)| s.node_count)
-                        .collect();
-                    (answers, counts, shards)
+                    (answers, counts)
                 };
                 let plain = run(Telemetry::disabled());
                 let traced = run(Telemetry::enabled());
-                prop_assert_eq!(&plain, &traced, "{:?}, threads={}", backend, threads);
+                prop_assert_eq!(&plain, &traced, "threads={}", threads);
             }
         }
     }
@@ -192,7 +185,10 @@ fn counters_are_monotone_across_batches() {
 #[test]
 fn metrics_report_stages_tiers_and_caches() {
     let telemetry = Telemetry::enabled();
-    let mut session = EvalSession::with_backend(config(2, telemetry), SessionBackend::FloatFirst);
+    let mut session = EvalSession::new(EngineConfig {
+        float_first: true,
+        ..config(2, telemetry)
+    });
     let qid = session.register_query(query());
     let mut inst = Instance::new(sig());
     for i in 0..5u64 {
@@ -255,7 +251,6 @@ fn metrics_report_stages_tiers_and_caches() {
     let occupancy = session.cache_occupancy();
     assert_eq!(occupancy.lineage_entries, 1);
     assert_eq!(occupancy.encodings, 1);
-    assert_eq!(occupancy.dd_shards, 0);
     // The automaton state gauge was set during query compilation.
     assert!(snap.gauge("query_states", &[]).unwrap() > 0);
 
@@ -268,16 +263,4 @@ fn metrics_report_stages_tiers_and_caches() {
     assert!(prom.contains("session_requests_total 2"));
     assert!(prom.contains("span_count{span=\"encode\"}"));
     assert!(prom.contains("request_latency_ns_bucket"));
-
-    // A shared-dd session additionally reports per-shard stats.
-    let mut dd =
-        EvalSession::with_backend(config(1, Telemetry::enabled()), SessionBackend::SharedDd);
-    let q2 = dd.register_query(query());
-    let i2 = dd.register_instance(inst);
-    let counts = dd.batch_model_count(&[(q2, i2)]);
-    assert!(counts[0].is_ok());
-    let dd_snap = dd.metrics();
-    assert!(dd_snap.gauge("dd_nodes", &[("shard", "0")]).unwrap() > 0);
-    assert_eq!(dd.cache_occupancy().dd_shards, 1);
-    assert_eq!(dd.dd_shard_stats().len(), 1);
 }

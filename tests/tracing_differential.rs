@@ -232,7 +232,7 @@ fn explain_is_consistent_with_stats_across_thread_counts() {
         let report = session.explain(&request).unwrap();
         let stats = session.stats();
         assert_eq!(stats.requests, 1, "threads={threads}");
-        assert_eq!(report.backend, "automaton");
+        assert_eq!(report.tier, treelineage::DecisionTier::Exact);
         assert!(!report.lineage_cached && stats.lineage_misses == 1);
         let exact = session.batch_probability(std::slice::from_ref(&request))[0]
             .clone()

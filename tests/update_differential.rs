@@ -114,7 +114,7 @@ proptest! {
             // A tiny grain forces the cut/merge/reuse path even on these
             // small instances.
             config.fragment_grain = 4;
-            let mut session = EvalSession::with_backend(config, SessionBackend::Automaton);
+            let mut session = EvalSession::new(config);
             let qid = session.register_query(q.clone());
             let iid = session
                 .register_instance_with_decomposition(inst.clone(), td.clone())
@@ -292,7 +292,7 @@ fn incremental_update_recompiles_strictly_fewer_fragments_than_cold() {
     for threads in [2usize, 8] {
         let mut config = EngineConfig::with_threads(threads);
         config.fragment_grain = 4;
-        let mut session = EvalSession::with_backend(config, SessionBackend::Automaton);
+        let mut session = EvalSession::new(config);
         let q = parse_query(&chain_sig(), "R(x), S(x, y), T(y)").unwrap();
         let qid = session.register_query(q);
         let iid = session.register_instance(chain_instance(8));
